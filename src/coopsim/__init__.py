@@ -13,22 +13,18 @@ from .analysis import (
 from .baselines import (
     AlwaysCoopPolicy,
     CounterPolicy,
-    CounterState,
     NoCoopPolicy,
-    always_coop_decide,
-    counter_decide,
-    no_coop_decide,
+    StationaryRandomPolicy,
+    budget_gate,
 )
 from .controller import (
     FadeState,
     FadingModel,
-    FramePowers,
     FrameDriftPenaltyPolicy,
     MultiUserDecision,
     SizeCapExceededError,
     admit,
     cooperation_threshold,
-    frame_power,
     solve_multiuser_frame,
     solve_p0,
     solve_p1,
@@ -38,10 +34,8 @@ from .engine import (
     PolicySpec,
     RunMetrics,
     Scenario,
-    StationaryRandomPolicy,
     build_policy,
     derive_seed,
-    run_adaptive,
     run_episode,
     sweep_v,
 )
@@ -49,7 +43,6 @@ from .model import (
     ModelParams,
     Phase,
     PowerSet,
-    SlotOutcome,
     SystemState,
     UnstableChainError,
     step_pu_queue,
@@ -57,6 +50,7 @@ from .model import (
     update_virtual_queue,
 )
 from .montecarlo import (
+    arrival_counts,
     batch_mean_stderr,
     binomial_cdf,
     sample_busy_periods,

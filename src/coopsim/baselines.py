@@ -1,135 +1,95 @@
-"""Comparison policies: never cooperate, always cooperate, counter-gated.
+"""Comparison policies: never cooperate, always cooperate, counter-gated, stationary.
 
-All three act at either zero or peak power and enforce the average-power
+The first three act at either zero or peak power and enforce the average-power
 budget with a running-average gate: act only while total spend so far divided
-by elapsed slots stays below the budget. The always-cooperate policy
-additionally reserves the budget for cooperation: its idle-slot gate charges
-every busy slot seen so far at peak power, whether or not the gate was open
-then, so its own traffic only uses power that cooperation could never claim.
+by elapsed slots stays below the budget. They differ only in the spend they
+feed the gate. The always-cooperate policy additionally reserves the budget
+for cooperation: its idle-slot gate charges every busy slot seen so far at
+peak power, whether or not the gate was open then, so its own traffic only
+uses power that cooperation could never claim. The stationary policy ignores
+the budget and mixes peak power with a fixed probability per phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ModelParams, Phase
 
 
-@dataclass
-class CounterState:
-    """Running power spend over elapsed slots."""
-
-    total_power: float = 0.0
-    slots_elapsed: int = 0
-
-    def average(self) -> float:
-        return self.total_power / max(self.slots_elapsed, 1)
-
-    def record(self, power_spent: float) -> None:
-        self.total_power += power_spent
-        self.slots_elapsed += 1
+def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
+    """Peak power while ``spend`` per elapsed slot is under the budget, else 0."""
+    return p_max if spend / max(slots, 1) < p_avg else 0.0
 
 
-def counter_decide(phase: Phase, counter: CounterState, p_avg: float, p_max: float) -> float:
-    """Act at peak power (either phase) while the running average is under budget."""
-    return p_max if counter.average() < p_avg else 0.0
+class _OpenLoopPolicy:
+    """Frame-blind hooks shared by the comparison policies.
 
-
-def no_coop_decide(phase: Phase, counter: CounterState, p_avg: float, p_max: float) -> float:
-    """Never cooperate; transmit own data in idle slots under the same gate."""
-    if phase is Phase.PU_BUSY:
-        return 0.0
-    return p_max if counter.average() < p_avg else 0.0
-
-
-def always_coop_decide(
-    phase: Phase,
-    counter: CounterState,
-    busy_slots_seen: int,
-    idle_power_spent: float,
-    p_avg: float,
-    p_max: float,
-) -> float:
-    """Cooperate whenever the budget gate allows; idle slots get leftovers.
-
-    The idle gate compares the budget against the reserved cooperative demand
-    (all busy slots seen, at peak power) plus actual idle spend.
+    Nothing happens at frame boundaries, every arrival is admitted, and the
+    running spend and slot count are kept for the budget gate.
     """
-    if phase is Phase.PU_BUSY:
-        return p_max if counter.average() < p_avg else 0.0
-    slots = max(counter.slots_elapsed, 1)
-    demand_average = (busy_slots_seen * p_max + idle_power_spent) / slots
-    return p_max if demand_average < p_avg else 0.0
-
-
-class NoCoopPolicy:
-    """Idle-only transmission at peak power, budget-gated; admits everything."""
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.counter = CounterState()
+        self.spend = 0.0
+        self.slots = 0
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
         pass
-
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return no_coop_decide(phase, self.counter, self.params.p_avg, self.params.p_max)
 
     def admit(self, q_su: int, arrivals: int) -> int:
         return arrivals
 
     def end_slot(self, power_spent: float, phase: Phase) -> None:
-        self.counter.record(power_spent)
+        self.spend += power_spent
+        self.slots += 1
 
 
-class AlwaysCoopPolicy:
+class NoCoopPolicy(_OpenLoopPolicy):
+    """Idle-only transmission at peak power, budget-gated; admits everything."""
+
+    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
+        if phase is Phase.PU_BUSY:
+            return 0.0
+        return budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
+
+
+class AlwaysCoopPolicy(_OpenLoopPolicy):
     """Cooperation-first budget use; own traffic only on reserve slack."""
 
     def __init__(self, params: ModelParams):
-        self.params = params
-        self.counter = CounterState()
+        super().__init__(params)
         self.busy_slots_seen = 0
         self.idle_power_spent = 0.0
 
-    def begin_frame(self, q_su: int, x_su: float) -> None:
-        pass
-
     def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return always_coop_decide(
-            phase,
-            self.counter,
-            self.busy_slots_seen,
-            self.idle_power_spent,
-            self.params.p_avg,
-            self.params.p_max,
-        )
-
-    def admit(self, q_su: int, arrivals: int) -> int:
-        return arrivals
+        p_avg, p_max = self.params.p_avg, self.params.p_max
+        if phase is Phase.PU_BUSY:
+            return budget_gate(self.spend, self.slots, p_avg, p_max)
+        reserved = self.busy_slots_seen * p_max + self.idle_power_spent
+        return budget_gate(reserved, self.slots, p_avg, p_max)
 
     def end_slot(self, power_spent: float, phase: Phase) -> None:
-        self.counter.record(power_spent)
+        super().end_slot(power_spent, phase)
         if phase is Phase.PU_BUSY:
             self.busy_slots_seen += 1
         else:
             self.idle_power_spent += power_spent
 
 
-class CounterPolicy:
+class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.counter = CounterState()
+    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
+        return budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
 
-    def begin_frame(self, q_su: int, x_su: float) -> None:
-        pass
+
+class StationaryRandomPolicy(_OpenLoopPolicy):
+    """Queue-blind mixing policy: peak power with fixed per-phase probability."""
+
+    def __init__(self, params: ModelParams, coop_prob: float, idle_tx_prob: float):
+        super().__init__(params)
+        self.coop_prob = coop_prob
+        self.idle_tx_prob = idle_tx_prob
 
     def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return counter_decide(phase, self.counter, self.params.p_avg, self.params.p_max)
-
-    def admit(self, q_su: int, arrivals: int) -> int:
-        return arrivals
-
-    def end_slot(self, power_spent: float, phase: Phase) -> None:
-        self.counter.record(power_spent)
+        prob = self.idle_tx_prob if phase is Phase.PU_IDLE else self.coop_prob
+        return self.params.p_max if u < prob else 0.0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .analysis import busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
-from .engine import RNG_NAME, PolicySpec, RunMetrics, run_adaptive, run_episode, sweep_v
+from .engine import RNG_NAME, PolicySpec, RunMetrics, Scenario, run_episode, sweep_v
 from .oracle import grid_search, optimal_two_point, simulate_stationary
 
 FRAMES_CSV_COLUMNS = (
@@ -43,6 +43,7 @@ SUMMARY_CSV_COLUMNS = (
     "seed",
 )
 SWEEP_CSV_COLUMNS = ("v", "throughput_admitted", "avg_q_su", "avg_power")
+ORACLE_CSV_COLUMNS = ("upsilon", "q", "p", "pi_0", "power_used")
 
 
 def _fmt(value) -> str:
@@ -56,24 +57,28 @@ def _meta_line(metrics: RunMetrics) -> str:
     return f"# rng={metrics.rng_name} seed={metrics.seed} policy={metrics.policy_label}"
 
 
-def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
+def _write_csv(path: Path, meta_line: str | None, header, rows) -> None:
+    """One CSV file: optional comment line, header, then the rows."""
     with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(metrics) + "\n")
+        if meta_line is not None:
+            fh.write(meta_line + "\n")
         writer = csv.writer(fh)
-        writer.writerow(FRAMES_CSV_COLUMNS)
-        for k in range(metrics.frames):
-            writer.writerow(
-                [
-                    k + 1,
-                    int(metrics.frame_len[k]),
-                    int(metrics.admitted[k]),
-                    int(metrics.served[k]),
-                    _fmt(float(metrics.power_idle[k])),
-                    _fmt(float(metrics.power_coop[k])),
-                    int(metrics.q_su_end[k]),
-                    _fmt(float(metrics.x_su_end[k])),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
+    rows = zip(
+        range(1, metrics.frames + 1),
+        metrics.frame_len.tolist(),
+        metrics.admitted.tolist(),
+        metrics.served.tolist(),
+        map(_fmt, metrics.power_idle.tolist()),
+        map(_fmt, metrics.power_coop.tolist()),
+        metrics.q_su_end.tolist(),
+        map(_fmt, metrics.x_su_end.tolist()),
+    )
+    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, rows)
 
 
 def read_frames_csv(path: Path) -> dict[str, list]:
@@ -91,37 +96,29 @@ def read_frames_csv(path: Path) -> dict[str, list]:
 
 
 def write_summary_csv(path: Path, metrics: RunMetrics) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(metrics) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        writer.writerow(
-            [
-                metrics.policy_label,
-                _fmt(float(metrics.v)) if metrics.v is not None else "",
-                _fmt(metrics.throughput_admitted),
-                _fmt(metrics.throughput_served),
-                _fmt(metrics.avg_power),
-                metrics.max_q_su,
-                metrics.seed,
-            ]
-        )
+    row = [
+        metrics.policy_label,
+        _fmt(float(metrics.v)) if metrics.v is not None else "",
+        _fmt(metrics.throughput_admitted),
+        _fmt(metrics.throughput_served),
+        _fmt(metrics.avg_power),
+        metrics.max_q_su,
+        metrics.seed,
+    ]
+    _write_csv(path, _meta_line(metrics), SUMMARY_CSV_COLUMNS, [row])
 
 
 def write_sweep_csv(path: Path, results: list[tuple[float, RunMetrics]], seed: int) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# rng={RNG_NAME} base_seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for v, metrics in results:
-            writer.writerow(
-                [
-                    _fmt(float(v)),
-                    _fmt(metrics.throughput_admitted),
-                    _fmt(metrics.avg_q_su),
-                    _fmt(metrics.avg_power),
-                ]
-            )
+    rows = (
+        [
+            _fmt(float(v)),
+            _fmt(metrics.throughput_admitted),
+            _fmt(metrics.avg_q_su),
+            _fmt(metrics.avg_power),
+        ]
+        for v, metrics in results
+    )
+    _write_csv(path, f"# rng={RNG_NAME} base_seed={seed}", SWEEP_CSV_COLUMNS, rows)
 
 
 def _summary_line(metrics: RunMetrics) -> str:
@@ -154,25 +151,35 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _complete(scenario: Scenario, metrics: RunMetrics) -> RunMetrics:
+    """Pass ``metrics`` through; an episode cut short by its slot cap is an error."""
+    if metrics.frames < scenario.horizon_frames:
+        raise RuntimeError(
+            f"stopped at max_slots={scenario.slot_cap} after "
+            f"{metrics.frames} of {scenario.horizon_frames} frames"
+        )
+    return metrics
+
+
+def _episode(args: argparse.Namespace) -> RunMetrics:
+    """Run one configured episode, write its CSVs and print its summary."""
     cfg = _load_config(args)
     scenario = cfg.build_scenario()
+    metrics = _complete(scenario, run_episode(scenario))
     out = _out_dir(cfg)
-    metrics = run_episode(scenario)
     write_frames_csv(out / "frames.csv", metrics)
     write_summary_csv(out / "summary.csv", metrics)
     print(_summary_line(metrics))
+    return metrics
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    _episode(args)
     return 0
 
 
 def cmd_adaptive(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    scenario = cfg.build_scenario()
-    out = _out_dir(cfg)
-    metrics = run_adaptive(scenario)
-    write_frames_csv(out / "frames.csv", metrics)
-    write_summary_csv(out / "summary.csv", metrics)
-    print(_summary_line(metrics))
+    metrics = _episode(args)
     coop_ma = metrics.moving_average("coop_power")
     if metrics.frames >= 1:
         checkpoints = [k for k in (100, 300, 500, 700, 900, metrics.frames) if k <= metrics.frames]
@@ -187,8 +194,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if scenario.policy.kind != "fbdpp":
         raise ConfigError("sweep requires policy = fbdpp")
     v_values = cfg.v_list()
-    out = _out_dir(cfg)
     results = sweep_v(scenario, v_values)
+    for _, metrics in results:
+        _complete(scenario, metrics)
+    out = _out_dir(cfg)
     write_sweep_csv(out / "sweep.csv", results, scenario.seed)
     for v, metrics in results:
         print(
@@ -202,7 +211,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     params = cfg.build_params()
-    out = _out_dir(cfg)
     if args.grid_step is not None:
         policy = grid_search(params, args.grid_step, q_fixed=args.force_q)
         note = f"grid(step={args.grid_step:g})"
@@ -226,18 +234,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"p={policy.idle_tx_prob!r}")
     print(f"pi_0={policy.pi_0!r}")
     print(f"power_used={policy.power_used!r}")
-    with open(out / "oracle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("upsilon", "q", "p", "pi_0", "power_used"))
-        writer.writerow(
-            [
-                _fmt(policy.upsilon),
-                _fmt(policy.coop_prob),
-                _fmt(policy.idle_tx_prob),
-                _fmt(policy.pi_0),
-                _fmt(policy.power_used),
-            ]
-        )
+    row = [policy.upsilon, policy.coop_prob, policy.idle_tx_prob, policy.pi_0, policy.power_used]
+    _write_csv(_out_dir(cfg) / "oracle.csv", None, ORACLE_CSV_COLUMNS, [[_fmt(x) for x in row]])
     if args.validate:
         seed = int(cfg.raw.get("seed", "1"))
         sim = simulate_stationary(policy, params, args.validate_slots, seed)
@@ -283,27 +281,25 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     scenario = cfg.build_scenario()
     params = scenario.params
     constants = drift_constants(params)
-    # Enough frames that every baseline sees >= ~1e5 slots, unless the caller
+    # Enough frames that every row sees >= ~1e5 slots, unless the caller
     # pinned the horizon explicitly.
     if args.frames is not None:
         baseline_frames = scenario.horizon_frames
     else:
         baseline_frames = max(scenario.horizon_frames, int(120_000 / constants.t_min) + 1)
-    rows = []
-    for kind in ("no_coop", "always_coop", "counter"):
-        spec = PolicySpec(kind=kind)
-        sc = replace(
-            scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()
-        )
-        metrics = run_episode(sc)
-        rows.append((kind, metrics))
     v = scenario.policy.v if scenario.policy.kind == "fbdpp" else float(
         cfg.raw.get("v", 500)
     )
-    fb = replace(scenario, policy=PolicySpec(kind="fbdpp", v=v), lambda_schedule=())
-    rows.append(("fbdpp", run_episode(fb)))
+    specs = [PolicySpec(kind=kind) for kind in ("no_coop", "always_coop", "counter")]
+    specs.append(PolicySpec(kind="fbdpp", v=v))
+    rows = []
+    for spec in specs:
+        sc = replace(
+            scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()
+        )
+        rows.append(_complete(sc, run_episode(sc)))
     print(f"{'policy':<14} {'served':>9} {'admitted':>9} {'avg_power':>10} {'slots':>9}")
-    for kind, metrics in rows:
+    for metrics in rows:
         print(
             f"{metrics.policy_label:<14} {metrics.throughput_served:>9.4f} "
             f"{metrics.throughput_admitted:>9.4f} {metrics.avg_power:>10.4f} "

@@ -28,15 +28,6 @@ from .model import ModelParams, Phase
 
 
 @dataclass(frozen=True)
-class FramePowers:
-    """Constant power pair used for one frame, with the idle objective value."""
-
-    p0_star: float      # power in primary-idle slots
-    p1_star: float      # power in primary-busy slots
-    theta_star: float
-
-
-@dataclass(frozen=True)
 class FadeState:
     fade_id: str
     prob: float
@@ -115,11 +106,6 @@ def solve_p1(theta_star: float, x_su_frame: float, params: ModelParams) -> float
         if best_val is None or val < best_val:
             best_p, best_val = p, val
     return best_p
-
-
-def frame_power(phase: Phase, fp: FramePowers) -> float:
-    """Power used this slot: constant per phase within the frame."""
-    return fp.p0_star if phase is Phase.PU_IDLE else fp.p1_star
 
 
 @dataclass(frozen=True)
@@ -227,7 +213,8 @@ class FrameDriftPenaltyPolicy:
     """Slot-policy wrapper: recompute powers each frame, threshold admission.
 
     One instance belongs to one simulation worker; it holds only the current
-    frame's power pair.
+    frame's power pair: ``p0_star`` for primary-idle slots, ``p1_star`` for
+    primary-busy slots.
     """
 
     def __init__(self, params: ModelParams, v: float):
@@ -235,16 +222,14 @@ class FrameDriftPenaltyPolicy:
             raise ValueError("v must be positive")
         self.params = params
         self.v = v
-        self.fp = FramePowers(0.0, 0.0, 0.0)
         self.begin_frame(0, 0.0)
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
-        p0, theta = solve_p0(q_su, x_su, self.params)
-        p1 = solve_p1(theta, x_su, self.params)
-        self.fp = FramePowers(p0_star=p0, p1_star=p1, theta_star=theta)
+        self.p0_star, theta = solve_p0(q_su, x_su, self.params)
+        self.p1_star = solve_p1(theta, x_su, self.params)
 
     def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return frame_power(phase, self.fp)
+        return self.p0_star if phase is Phase.PU_IDLE else self.p1_star
 
     def admit(self, q_su: int, arrivals: int) -> int:
         return admit(q_su, arrivals, self.v)

@@ -23,18 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy
+from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy, StationaryRandomPolicy
 from .controller import FrameDriftPenaltyPolicy
 from .model import (
     ModelParams,
     Phase,
-    SlotOutcome,
     SystemState,
     step_pu_queue,
     step_su_queue,
     update_virtual_queue,
 )
-from .montecarlo import binomial_cdf
+from .montecarlo import arrival_counts
 
 RNG_NAME = "pcg64"
 POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter", "stationary")
@@ -98,27 +97,16 @@ class Scenario:
                     % (new_lam, self.params.phi_nc)
                 )
 
+    @property
+    def slot_cap(self) -> int:
+        """Slots after which the episode stops, complete or not.
 
-class StationaryRandomPolicy:
-    """Queue-blind mixing policy: peak power with fixed per-phase probability."""
-
-    def __init__(self, params: ModelParams, coop_prob: float, idle_tx_prob: float):
-        self.params = params
-        self.coop_prob = coop_prob
-        self.idle_tx_prob = idle_tx_prob
-
-    def begin_frame(self, q_su: int, x_su: float) -> None:
-        pass
-
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        prob = self.idle_tx_prob if phase is Phase.PU_IDLE else self.coop_prob
-        return self.params.p_max if u < prob else 0.0
-
-    def admit(self, q_su: int, arrivals: int) -> int:
-        return arrivals
-
-    def end_slot(self, power_spent: float, phase: Phase) -> None:
-        pass
+        The default is generous enough never to truncate a stable run, but
+        halts the lambda_pu = 0 degenerate case where frames never complete.
+        """
+        if self.max_slots is not None:
+            return self.max_slots
+        return self.horizon_frames * 10_000 + 1_000_000
 
 
 def build_policy(spec: PolicySpec, params: ModelParams):
@@ -233,7 +221,13 @@ class RunMetrics:
 
 
 def run_episode(scenario: Scenario) -> RunMetrics:
-    """Simulate ``horizon_frames`` complete frames and collect metrics."""
+    """Simulate ``horizon_frames`` complete frames and collect metrics.
+
+    Stops early, returning the frames completed so far, once the scenario's
+    ``slot_cap`` is reached. Raises RuntimeError if the backlog bound
+    ``v + a_max`` (fbdpp) or the virtual-queue identity
+    ``total power - p_avg * slots <= x_su`` is ever violated.
+    """
     par = scenario.params
     spec = scenario.policy
     lam_pu = par.lambda_pu
@@ -241,12 +235,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     policy = build_policy(spec, par)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     v_bound = spec.v + par.a_max if spec.kind == "fbdpp" else None
-    a_cdf = binomial_cdf(par.a_max, lam_su / par.a_max) if par.a_max > 1 else None
-    # Safety cap; generous enough never to truncate a stable run, but halts
-    # the lambda_pu = 0 degenerate case where frames never complete.
-    max_slots = scenario.max_slots
-    if max_slots is None:
-        max_slots = scenario.horizon_frames * 10_000 + 1_000_000
+    max_slots = scenario.slot_cap
 
     schedule = list(scenario.lambda_schedule)
     sched_i = 0
@@ -272,23 +261,19 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     f_qsum = 0
     frames_done = 0
 
-    block = rng.random((_BLOCK, 5))
-    if a_cdf is not None:
-        arr_block = np.searchsorted(a_cdf, block[:, 0], side="right")
-    bi = 0
+    bi = _BLOCK  # the first slot draws the first block
 
     policy.begin_frame(state.q_su, state.x_su)
     while frames_done < scenario.horizon_frames and state.slot < max_slots:
         if bi == _BLOCK:
             block = rng.random((_BLOCK, 5))
-            if a_cdf is not None:
-                arr_block = np.searchsorted(a_cdf, block[:, 0], side="right")
+            arrivals_block = arrival_counts(block[:, 0], par.a_max, lam_su).tolist()
             bi = 0
         row = block[bi]
         phase = state.phase
         idle = phase is Phase.PU_IDLE
 
-        arrivals = int(arr_block[bi]) if a_cdf is not None else (1 if row[0] < lam_su else 0)
+        arrivals = arrivals_block[bi]
         power = policy.choose_power(phase, state.q_su, row[1])
         if idle and state.q_su == 0 and scenario.skip_when_empty:
             power = 0.0
@@ -303,17 +288,10 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             served = 0
         a_pu = 1 if row[4] < lam_pu else 0
         bi += 1
-        outcome = SlotOutcome(
-            admitted=adm,
-            su_served=served,
-            pu_success=pu_success,
-            power_spent=power,
-            was_idle_phase=idle,
-        )
 
         f_qsum += state.q_su
-        state.q_pu = step_pu_queue(state.q_pu, outcome.pu_success, a_pu)
-        state.q_su = step_su_queue(state.q_su, offered, outcome.admitted)
+        state.q_pu = step_pu_queue(state.q_pu, pu_success, a_pu)
+        state.q_su = step_su_queue(state.q_su, offered, adm)
         state.slot += 1
         state.phase = Phase.PU_IDLE if state.q_pu == 0 else Phase.PU_BUSY
         if state.q_su > max_q:
@@ -322,15 +300,15 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             raise RuntimeError(
                 "backlog bound violated: q_su=%d > v + a_max=%g" % (state.q_su, v_bound)
             )
-        policy.end_slot(outcome.power_spent, phase)
+        policy.end_slot(power, phase)
 
-        f_adm += outcome.admitted
-        f_srv += outcome.su_served
+        f_adm += adm
+        f_srv += served
         if idle:
             f_idle += 1
-            f_pi += outcome.power_spent
+            f_pi += power
         else:
-            f_pc += outcome.power_spent
+            f_pc += power
             seen_busy = True
 
         if seen_busy and state.q_pu == 0:
@@ -351,17 +329,14 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             while sched_i < len(schedule) and frames_done >= schedule[sched_i][0]:
                 lam_pu = schedule[sched_i][1]
                 sched_i += 1
-            state.frame += 1
             state.frame_start_slot = state.slot
-            state.q_su_at_frame_start = state.q_su
-            state.x_su_at_frame_start = state.x_su
             state.check()
             policy.begin_frame(state.q_su, state.x_su)
             seen_busy = False
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0
 
-    return RunMetrics(
+    metrics = RunMetrics(
         policy_label=spec.label(),
         v=spec.v,
         seed=scenario.seed,
@@ -383,16 +358,13 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         partial_power=f_pi + f_pc,
         partial_q_sum=f_qsum,
     )
-
-
-def run_adaptive(scenario: Scenario) -> RunMetrics:
-    """Episode with the arrival-rate schedule applied at frame boundaries.
-
-    Scheduling is part of every episode; with an empty schedule this is
-    exactly ``run_episode``. Kept as its own entry point for the
-    rate-switching experiments.
-    """
-    return run_episode(scenario)
+    spent = float(metrics.power_idle.sum() + metrics.power_coop.sum())
+    excess = spent - par.p_avg * metrics.slots
+    if excess > state.x_su + 1e-9 * max(1.0, spent):
+        raise RuntimeError(
+            "virtual-queue identity violated: power excess %g > x_su=%g" % (excess, state.x_su)
+        )
+    return metrics
 
 
 def derive_seed(base_seed: int, index: int) -> int:

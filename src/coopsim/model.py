@@ -162,18 +162,6 @@ class ModelParams:
     def mu_su_of(self, power: float) -> float:
         return self.mu_su[power]
 
-    def replace_lambda_pu(self, lambda_pu: float) -> "ModelParams":
-        return ModelParams(
-            lambda_pu=lambda_pu,
-            lambda_su=self.lambda_su,
-            a_max=self.a_max,
-            phi=self.phi,
-            mu_su=self.mu_su,
-            p_avg=self.p_avg,
-            p_max=self.p_max,
-            power_set=self.power_set,
-        )
-
 
 @dataclass
 class SystemState:
@@ -183,37 +171,13 @@ class SystemState:
     q_su: int = 0
     x_su: float = 0.0           # virtual power backlog, frame-updated
     slot: int = 0
-    frame: int = 1
     frame_start_slot: int = 0
-    q_su_at_frame_start: int = 0
-    x_su_at_frame_start: float = 0.0
     phase: Phase = Phase.PU_IDLE
 
     def check(self) -> None:
         assert (self.q_pu == 0) == (self.phase is Phase.PU_IDLE)
         assert self.x_su >= 0.0
         assert self.frame_start_slot <= self.slot
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """What happened in one slot, as seen by metric collectors."""
-
-    admitted: int
-    su_served: int
-    pu_success: bool
-    power_spent: float
-    was_idle_phase: bool
-
-    def __post_init__(self) -> None:
-        if self.su_served not in (0, 1):
-            raise ValueError("at most one secondary packet departs per slot")
-        if self.su_served and not self.was_idle_phase:
-            raise ValueError("secondary data moves only in idle slots")
-        if self.pu_success and self.was_idle_phase:
-            raise ValueError("primary success needs a busy slot")
-        if self.power_spent < 0 or self.admitted < 0:
-            raise ValueError("power and admissions are non-negative")
 
 
 def step_pu_queue(q_pu: int, pu_success: bool, arrival: int) -> int:

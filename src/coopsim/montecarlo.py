@@ -27,6 +27,14 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf
 
 
+def arrival_counts(u: np.ndarray, a_max: int, lambda_su: float) -> np.ndarray:
+    """Map uniforms to secondary arrival counts: Binomial(a_max, lambda_su / a_max)."""
+    if a_max == 1:
+        return (u < lambda_su).astype(np.int64)
+    cdf = binomial_cdf(a_max, lambda_su / a_max)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
 def sample_busy_periods(
     lambda_pu: float,
     success_prob: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .montecarlo import binomial_cdf
+from .montecarlo import arrival_counts
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def simulate_stationary(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     P = params.p_max
     u = rng.random((horizon_slots, 4))
-    arrivals = _arrival_counts(u[:, 0], params)
+    arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su)
     tx_idle = u[:, 1] < policy.idle_tx_prob
     coop_busy = u[:, 1] < policy.coop_prob
     pu_succ_coop = u[:, 2] < params.phi_c
@@ -224,11 +224,3 @@ def simulate_stationary(
         idle_fraction=idle_slots / horizon_slots,
         slots=horizon_slots,
     )
-
-
-def _arrival_counts(u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Map uniforms to arrival counts: binomial(a_max, lambda_su/a_max)."""
-    if params.a_max == 1:
-        return (u < params.lambda_su).astype(np.int64)
-    cdf = binomial_cdf(params.a_max, params.lambda_su / params.a_max)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)

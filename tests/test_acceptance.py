@@ -18,7 +18,6 @@ from coopsim import (
     drift_constants,
     grid_search,
     optimal_two_point,
-    run_adaptive,
     run_episode,
     sample_busy_periods,
     sample_frames,
@@ -200,7 +199,7 @@ def test_07_adaptive_scenario():
         lambda_schedule=((350, 0.2), (700, 0.55)),
         window=100,
     )
-    m = run_adaptive(sc)
+    m = run_episode(sc)
     ma = m.moving_average("coop_power")
     quiet = float(ma[499:700].max())
     early = float(ma[99:300].mean())

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from coopsim import (
-    CounterState,
+    AlwaysCoopPolicy,
+    CounterPolicy,
     ModelParams,
+    NoCoopPolicy,
     Phase,
     PolicySpec,
     Scenario,
-    always_coop_decide,
-    counter_decide,
-    no_coop_decide,
+    budget_gate,
     run_episode,
 )
 
@@ -17,40 +17,47 @@ REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
 
 def test_counter_state_average():
-    c = CounterState()
-    assert c.average() == 0.0
-    c.record(1.0)
-    c.record(0.0)
-    assert c.average() == 0.5
-    assert c.slots_elapsed == 2 and c.total_power == 1.0
+    pol = CounterPolicy(REF)
+    assert pol.spend == 0.0 and pol.slots == 0
+    assert budget_gate(0.0, 0, 1e-12, 1.0) == 1.0     # no slots yet: average 0
+    pol.end_slot(1.0, Phase.PU_IDLE)
+    pol.end_slot(0.0, Phase.PU_BUSY)
+    assert pol.slots == 2 and pol.spend == 1.0
+    # average 0.5: the gate shuts at a budget of 0.5 and opens just above it
+    assert budget_gate(pol.spend, pol.slots, 0.5, 1.0) == 0.0
+    assert budget_gate(pol.spend, pol.slots, 0.5 + 1e-12, 1.0) == 1.0
 
 
 def test_no_coop_decide():
-    fresh = CounterState()
-    assert no_coop_decide(Phase.PU_BUSY, fresh, 0.5, 1.0) == 0.0
-    assert no_coop_decide(Phase.PU_IDLE, fresh, 0.5, 1.0) == 1.0
-    over = CounterState(total_power=60.0, slots_elapsed=100)
-    assert no_coop_decide(Phase.PU_IDLE, over, 0.5, 1.0) == 0.0
+    pol = NoCoopPolicy(REF)
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.0) == 0.0
+    assert pol.choose_power(Phase.PU_IDLE, 0, 0.0) == 1.0
+    pol.spend, pol.slots = 60.0, 100
+    assert pol.choose_power(Phase.PU_IDLE, 0, 0.0) == 0.0
 
 
 def test_counter_decide():
-    fresh = CounterState()
-    assert counter_decide(Phase.PU_IDLE, fresh, 0.5, 1.0) == 1.0
-    assert counter_decide(Phase.PU_BUSY, fresh, 0.5, 1.0) == 1.0
-    assert counter_decide(Phase.PU_IDLE, fresh, 0.0, 1.0) == 0.0   # p_avg = 0
-    over = CounterState(total_power=51.0, slots_elapsed=100)
-    assert counter_decide(Phase.PU_BUSY, over, 0.5, 1.0) == 0.0
+    pol = CounterPolicy(REF)
+    assert pol.choose_power(Phase.PU_IDLE, 0, 0.0) == 1.0
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.0) == 1.0
+    assert budget_gate(0.0, 0, 0.0, 1.0) == 0.0   # p_avg = 0
+    pol.spend, pol.slots = 51.0, 100
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.0) == 0.0
 
 
 def test_always_coop_decide_priorities():
-    fresh = CounterState()
-    assert always_coop_decide(Phase.PU_BUSY, fresh, 0, 0.0, 0.5, 1.0) == 1.0
+    fresh = AlwaysCoopPolicy(REF)
+    assert fresh.choose_power(Phase.PU_BUSY, 0, 0.0) == 1.0
     # busy history reserves the budget: idle transmission blocked
-    c = CounterState(total_power=30.0, slots_elapsed=100)
-    assert always_coop_decide(Phase.PU_IDLE, c, 60, 0.0, 0.5, 1.0) == 0.0
-    assert always_coop_decide(Phase.PU_BUSY, c, 60, 0.0, 0.5, 1.0) == 1.0
+    pol = AlwaysCoopPolicy(REF)
+    pol.spend, pol.slots, pol.busy_slots_seen = 30.0, 100, 60
+    assert pol.choose_power(Phase.PU_IDLE, 0, 0.0) == 0.0
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.0) == 1.0
     # slack budget: everything at peak power
-    assert always_coop_decide(Phase.PU_IDLE, c, 20, 10.0, 1.0, 1.0) == 1.0
+    slack = AlwaysCoopPolicy(ModelParams.two_point(0.5, 0.5, 0.6, 0.8, p_avg=1.0))
+    slack.spend, slack.slots = 30.0, 100
+    slack.busy_slots_seen, slack.idle_power_spent = 20, 10.0
+    assert slack.choose_power(Phase.PU_IDLE, 0, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["no_coop", "always_coop", "counter"])

@@ -1,4 +1,5 @@
 import filecmp
+import re
 
 import pytest
 
@@ -172,10 +173,12 @@ p_avg = 0.5
 policy = counter
 power_levels = 0, 0.5, 1
 """
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, text + f"\nout_dir = {tmp_path}/out\n")
     assert main(["oracle", "--config", str(cfg)]) == 1
     assert "--grid-step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()     # the refused run creates nothing
     assert main(["oracle", "--config", str(cfg), "--grid-step", "0.01"]) == 0
+    assert (tmp_path / "out" / "oracle.csv").exists()
 
 
 def test_cli_analyze(tmp_path, capsys):
@@ -211,6 +214,29 @@ def test_cli_baselines_table(tmp_path, capsys):
     assert float(table["counter"][0]) == pytest.approx(0.137, abs=0.03)
     assert "fbdpp(v=500)" in table and "offline_opt" in table
     assert float(table["offline_opt"][0]) == pytest.approx(0.25)
+
+
+def test_cli_baselines_equal_horizons(tmp_path, capsys):
+    # without --frames every row, the controller's too, runs >= 1e5 slots
+    cfg = write_config(tmp_path, BASE)
+    assert main(["baselines", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    rows = {l.split()[0]: l.split()[1:] for l in lines if not l.startswith("offline_opt")}
+    assert set(rows) == {"no_coop", "always_coop", "counter", "fbdpp(v=500)"}
+    for name, cols in rows.items():
+        assert int(cols[3]) >= 100_000, name
+
+
+@pytest.mark.parametrize("command", ["run", "adaptive", "sweep", "baselines"])
+def test_cli_truncated_episode_exits_2(tmp_path, capsys, command):
+    text = BASE + f"\nmax_slots = 1000\nv_list = 10\nout_dir = {tmp_path}/out\n"
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip()
+    match = re.fullmatch(r"error: stopped at max_slots=1000 after (\d+) of (\d+) frames", err)
+    assert match, err
+    assert int(match.group(1)) < int(match.group(2))
+    assert not (tmp_path / "out").exists()     # no CSV from a cut-short run
 
 
 def test_cli_adaptive(tmp_path, capsys):

@@ -7,14 +7,12 @@ from coopsim import (
     FadeState,
     FadingModel,
     FrameDriftPenaltyPolicy,
-    FramePowers,
     ModelParams,
     Phase,
     PowerSet,
     SizeCapExceededError,
     admit,
     cooperation_threshold,
-    frame_power,
     solve_multiuser_frame,
     solve_p0,
     solve_p1,
@@ -129,11 +127,12 @@ def test_threshold_rule_equals_direct_argmin():
 
 
 def test_frame_power_dispatch():
-    fp = FramePowers(p0_star=1.0, p1_star=0.0, theta_star=3.0)
-    assert frame_power(Phase.PU_IDLE, fp) == 1.0
-    assert frame_power(Phase.PU_BUSY, fp) == 0.0
-    fp2 = FramePowers(p0_star=0.0, p1_star=1.0, theta_star=0.0)
-    assert frame_power(Phase.PU_BUSY, fp2) == 1.0
+    pol = FrameDriftPenaltyPolicy(REF, v=25.0)
+    pol.p0_star, pol.p1_star = 1.0, 0.0
+    assert pol.choose_power(Phase.PU_IDLE, 0, 0.5) == 1.0
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.5) == 0.0
+    pol.p0_star, pol.p1_star = 0.0, 1.0
+    assert pol.choose_power(Phase.PU_BUSY, 0, 0.5) == 1.0
 
 
 def test_scaling_invariance():
@@ -291,7 +290,6 @@ def test_policy_queue_bound_and_frame_constancy():
     # the frame, busy power stays p1 (frame sums must be multiples)
     pol = FrameDriftPenaltyPolicy(REF, v=25.0)
     pol.begin_frame(40, 3.0)
-    fp = pol.fp
     for _ in range(5):
-        assert pol.choose_power(Phase.PU_IDLE, 12, 0.3) == fp.p0_star
-        assert pol.choose_power(Phase.PU_BUSY, 12, 0.9) == fp.p1_star
+        assert pol.choose_power(Phase.PU_IDLE, 12, 0.3) == pol.p0_star
+        assert pol.choose_power(Phase.PU_BUSY, 12, 0.9) == pol.p1_star

@@ -8,7 +8,6 @@ from coopsim import (
     PolicySpec,
     Scenario,
     derive_seed,
-    run_adaptive,
     run_episode,
     steady_state,
     sweep_v,
@@ -126,14 +125,26 @@ def test_schedule_switches_at_boundaries():
     # dropping the arrival rate after frame 50 lengthens idle runs
     sc = Scenario(params=REF, policy=PolicySpec(kind="no_coop"),
                   horizon_frames=400, seed=17, lambda_schedule=((50, 0.1),))
-    m = run_adaptive(sc)
+    m = run_episode(sc)
     early = m.idle_len[:50].mean()
     late = m.idle_len[100:].mean()
     assert early == pytest.approx(2.0, abs=0.5)    # geometric mean 1/0.5
     assert late == pytest.approx(10.0, abs=1.5)    # geometric mean 1/0.1
-    # empty schedule is the plain episode
+    # a schedule switch to the current rate leaves the episode unchanged
     sc2 = Scenario(params=REF, policy=FBDPP, horizon_frames=50, seed=18)
-    assert np.array_equal(run_adaptive(sc2).frame_len, run_episode(sc2).frame_len)
+    same = Scenario(params=REF, policy=FBDPP, horizon_frames=50, seed=18,
+                    lambda_schedule=((10, REF.lambda_pu),))
+    assert np.array_equal(run_episode(same).frame_len, run_episode(sc2).frame_len)
+
+
+def test_virtual_queue_identity_checked_every_episode(monkeypatch):
+    # a virtual-queue update that forgets the frame's spend must not pass
+    import coopsim.engine as engine
+
+    monkeypatch.setattr(engine, "update_virtual_queue", lambda x, n, spent, p_avg: 0.0)
+    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=200, seed=3)
+    with pytest.raises(RuntimeError, match="virtual-queue identity"):
+        run_episode(sc)
 
 
 def test_moving_average_prefix_and_window():

@@ -90,8 +90,8 @@ def test_power_set_invariants():
         PowerSet(levels=(0.0, 0.5, 0.5))   # not strictly increasing
 
 
-def test_system_state_and_slot_outcome_invariants():
-    from coopsim import Phase, SlotOutcome, SystemState
+def test_system_state_invariants():
+    from coopsim import Phase, SystemState
 
     state = SystemState()
     state.check()
@@ -101,18 +101,6 @@ def test_system_state_and_slot_outcome_invariants():
     state.phase = Phase.PU_IDLE
     with pytest.raises(AssertionError):
         state.check()
-    ok = SlotOutcome(admitted=1, su_served=1, pu_success=False,
-                     power_spent=1.0, was_idle_phase=True)
-    assert ok.su_served == 1
-    with pytest.raises(ValueError):
-        SlotOutcome(admitted=0, su_served=1, pu_success=False,
-                    power_spent=0.0, was_idle_phase=False)
-    with pytest.raises(ValueError):
-        SlotOutcome(admitted=0, su_served=0, pu_success=True,
-                    power_spent=0.0, was_idle_phase=True)
-    with pytest.raises(ValueError):
-        SlotOutcome(admitted=0, su_served=2, pu_success=False,
-                    power_spent=0.0, was_idle_phase=True)
 
 
 def test_model_params_validation():
