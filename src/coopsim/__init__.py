@@ -41,9 +41,7 @@ from .engine import (
 )
 from .model import (
     ModelParams,
-    Phase,
     PowerSet,
-    SystemState,
     UnstableChainError,
     step_pu_queue,
     step_su_queue,
@@ -61,6 +59,7 @@ from .oracle import (
     StationaryPolicy,
     StationarySimResult,
     grid_search,
+    optimal_at_q,
     optimal_two_point,
     simulate_stationary,
 )

@@ -12,7 +12,7 @@ the budget and mixes peak power with a fixed probability per phase.
 
 from __future__ import annotations
 
-from .model import ModelParams, Phase
+from .model import ModelParams
 
 
 def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
@@ -23,8 +23,9 @@ def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
 class _OpenLoopPolicy:
     """Frame-blind hooks shared by the comparison policies.
 
-    Nothing happens at frame boundaries, every arrival is admitted, and the
-    running spend and slot count are kept for the budget gate.
+    Nothing happens at frame boundaries. Every ``choose_power`` call is one
+    slot: the power it returns is charged to the running spend and slot
+    count that the budget gate reads.
     """
 
     def __init__(self, params: ModelParams):
@@ -35,21 +36,22 @@ class _OpenLoopPolicy:
     def begin_frame(self, q_su: int, x_su: float) -> None:
         pass
 
-    def admit(self, q_su: int, arrivals: int) -> int:
-        return arrivals
-
-    def end_slot(self, power_spent: float, phase: Phase) -> None:
-        self.spend += power_spent
+    def _spent(self, power: float) -> float:
+        """Charge one slot at ``power`` to the running counters; return it."""
+        self.spend += power
         self.slots += 1
+        return power
 
 
 class NoCoopPolicy(_OpenLoopPolicy):
-    """Idle-only transmission at peak power, budget-gated; admits everything."""
+    """Idle-only transmission at peak power, budget-gated."""
 
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        if phase is Phase.PU_BUSY:
-            return 0.0
-        return budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
+    def choose_power(self, idle: bool, u: float) -> float:
+        if not idle:
+            return self._spent(0.0)
+        return self._spent(
+            budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
+        )
 
 
 class AlwaysCoopPolicy(_OpenLoopPolicy):
@@ -60,26 +62,24 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
         self.busy_slots_seen = 0
         self.idle_power_spent = 0.0
 
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
+    def choose_power(self, idle: bool, u: float) -> float:
         p_avg, p_max = self.params.p_avg, self.params.p_max
-        if phase is Phase.PU_BUSY:
-            return budget_gate(self.spend, self.slots, p_avg, p_max)
-        reserved = self.busy_slots_seen * p_max + self.idle_power_spent
-        return budget_gate(reserved, self.slots, p_avg, p_max)
-
-    def end_slot(self, power_spent: float, phase: Phase) -> None:
-        super().end_slot(power_spent, phase)
-        if phase is Phase.PU_BUSY:
+        if not idle:
             self.busy_slots_seen += 1
-        else:
-            self.idle_power_spent += power_spent
+            return self._spent(budget_gate(self.spend, self.slots, p_avg, p_max))
+        reserved = self.busy_slots_seen * p_max + self.idle_power_spent
+        power = self._spent(budget_gate(reserved, self.slots, p_avg, p_max))
+        self.idle_power_spent += power
+        return power
 
 
 class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
+    def choose_power(self, idle: bool, u: float) -> float:
+        return self._spent(
+            budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
+        )
 
 
 class StationaryRandomPolicy(_OpenLoopPolicy):
@@ -90,6 +90,6 @@ class StationaryRandomPolicy(_OpenLoopPolicy):
         self.coop_prob = coop_prob
         self.idle_tx_prob = idle_tx_prob
 
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        prob = self.idle_tx_prob if phase is Phase.PU_IDLE else self.coop_prob
-        return self.params.p_max if u < prob else 0.0
+    def choose_power(self, idle: bool, u: float) -> float:
+        prob = self.idle_tx_prob if idle else self.coop_prob
+        return self._spent(self.params.p_max if u < prob else 0.0)

@@ -21,7 +21,7 @@ from pathlib import Path
 from .analysis import busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
 from .engine import RNG_NAME, PolicySpec, RunMetrics, Scenario, run_episode, sweep_v
-from .oracle import grid_search, optimal_two_point, simulate_stationary
+from .oracle import grid_search, optimal_at_q, optimal_two_point, simulate_stationary
 
 FRAMES_CSV_COLUMNS = (
     "frame",
@@ -54,7 +54,7 @@ def _fmt(value) -> str:
 
 
 def _meta_line(metrics: RunMetrics) -> str:
-    return f"# rng={metrics.rng_name} seed={metrics.seed} policy={metrics.policy_label}"
+    return f"# rng={RNG_NAME} seed={metrics.seed} policy={metrics.policy_label}"
 
 
 def _write_csv(path: Path, meta_line: str | None, header, rows) -> None:
@@ -211,23 +211,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     params = cfg.build_params()
-    if args.grid_step is not None:
-        policy = grid_search(params, args.grid_step, q_fixed=args.force_q)
-        note = f"grid(step={args.grid_step:g})"
-    else:
-        if not params.power_set.two_point:
+    if args.validate_slots < 1:
+        raise ConfigError("--validate-slots must be at least 1")
+    try:
+        if args.grid_step is not None:
+            policy = grid_search(params, args.grid_step, q_fixed=args.force_q)
+            note = f"grid(step={args.grid_step:g})"
+        elif not params.power_set.two_point:
             print(
                 "error: closed-form oracle needs a two-point power set; "
                 "rerun with --grid-step to scan the (q, p) grid instead",
                 file=sys.stderr,
             )
             return 1
-        if args.force_q is not None:
-            policy = grid_search(params, 1e-3, q_fixed=args.force_q)
+        elif args.force_q is not None:
+            policy = optimal_at_q(params, args.force_q)
             note = f"closed-form(q={args.force_q:g} forced)"
         else:
             policy = optimal_two_point(params)
             note = "closed-form"
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"method={note}")
     print(f"upsilon={policy.upsilon!r}")
     print(f"q={policy.coop_prob!r}")

@@ -41,7 +41,6 @@ _KNOWN_KEYS = {
     "seed",
     "window",
     "lambda_schedule",
-    "skip_when_empty",
     "max_slots",
     "out_dir",
 }
@@ -113,16 +112,6 @@ class RunConfig:
             return int(self.raw[key])
         except ValueError as exc:
             raise ConfigError(f"{key}: not an integer: {self.raw[key]!r}") from exc
-
-    def _bool(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
-            return default
-        text = self.raw[key].lower()
-        if text in ("true", "yes", "1", "on"):
-            return True
-        if text in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {self.raw[key]!r}")
 
     def _prob_map(self, key: str) -> dict[float, float]:
         out: dict[float, float] = {}
@@ -232,7 +221,6 @@ class RunConfig:
                 seed=self._int("seed", 1),
                 lambda_schedule=tuple(schedule),
                 window=self._int("window", 100),
-                skip_when_empty=self._bool("skip_when_empty", False),
                 max_slots=max_slots,
             )
         except ValueError as exc:

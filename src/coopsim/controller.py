@@ -4,7 +4,8 @@ At the start of each frame the controller reads the pair of weights
 (secondary backlog, virtual power backlog) and picks two constant powers for
 the whole frame: one used in every primary-idle slot for its own traffic, one
 used in every primary-busy slot for cooperative transmission. Admission is a
-per-slot backlog threshold. None of the decisions needs the arrival rates.
+per-slot backlog threshold, ``admit``, which the engine applies. None of the
+decisions needs the arrival rates.
 
 The two powers come from a pair of one-dimensional problems over the finite
 power set:
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import ModelParams, Phase
+from .model import ModelParams
 
 
 @dataclass(frozen=True)
@@ -210,29 +211,20 @@ def solve_p1_fading(
 
 
 class FrameDriftPenaltyPolicy:
-    """Slot-policy wrapper: recompute powers each frame, threshold admission.
+    """Slot-policy wrapper: recompute the two powers at every frame boundary.
 
     One instance belongs to one simulation worker; it holds only the current
     frame's power pair: ``p0_star`` for primary-idle slots, ``p1_star`` for
     primary-busy slots.
     """
 
-    def __init__(self, params: ModelParams, v: float):
-        if v <= 0:
-            raise ValueError("v must be positive")
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.v = v
         self.begin_frame(0, 0.0)
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
         self.p0_star, theta = solve_p0(q_su, x_su, self.params)
         self.p1_star = solve_p1(theta, x_su, self.params)
 
-    def choose_power(self, phase: Phase, q_su: int, u: float) -> float:
-        return self.p0_star if phase is Phase.PU_IDLE else self.p1_star
-
-    def admit(self, q_su: int, arrivals: int) -> int:
-        return admit(q_su, arrivals, self.v)
-
-    def end_slot(self, power_spent: float, phase: Phase) -> None:
-        pass
+    def choose_power(self, idle: bool, u: float) -> float:
+        return self.p0_star if idle else self.p1_star

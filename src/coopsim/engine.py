@@ -2,21 +2,24 @@
 
 An episode runs whole frames: each frame is an idle run of the primary queue
 followed by a busy run, and ends at the first slot where the queue is empty
-again. The policy is consulted every slot for a power level and an admission
-decision; frame-scoped policies get a callback at every boundary with the
-fresh (backlog, virtual backlog) weights. All randomness comes from one
-seeded generator consuming exactly five uniforms per slot, so a rerun with
-the same scenario and seed reproduces every number bit for bit.
+again. A policy has two hooks. ``begin_frame(q_su, x_su)`` runs at every
+frame boundary with the fresh (backlog, virtual backlog) weights.
+``choose_power(idle, u)`` runs exactly once per slot, and the power it
+returns is the power spent in that slot, whether or not the secondary queue
+has a packet to send. The engine owns admission: fbdpp admits a slot's
+arrivals while the backlog is at most v, every other policy admits them
+all. All randomness comes from one seeded generator consuming exactly five
+uniforms per slot, so a rerun with the same scenario and seed reproduces
+every number bit for bit.
 
-Slot order: observe state, decide (admission, power), sample transmission
+Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
-virtual power backlog is updated only at frame boundaries. Power is charged
-as allocated even when the secondary queue is empty during idle slots;
-``skip_when_empty`` turns that spend off to quantify the gap.
+virtual power backlog is updated only at frame boundaries.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,20 +27,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy, StationaryRandomPolicy
-from .controller import FrameDriftPenaltyPolicy
-from .model import (
-    ModelParams,
-    Phase,
-    SystemState,
-    step_pu_queue,
-    step_su_queue,
-    update_virtual_queue,
-)
+from .controller import FrameDriftPenaltyPolicy, admit
+from .model import ModelParams, step_pu_queue, step_su_queue, update_virtual_queue
 from .montecarlo import arrival_counts
 
 RNG_NAME = "pcg64"
 POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter", "stationary")
 _BLOCK = 8192
+# RunMetrics' per-frame arrays, in the order run_episode records a frame.
+_FRAME_ARRAYS = (
+    ("frame_len", np.int64), ("admitted", np.int64), ("served", np.int64),
+    ("power_idle", float), ("power_coop", float), ("q_su_end", np.int64),
+    ("x_su_end", float), ("idle_len", np.int64), ("q_sum", np.int64),
+)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class Scenario:
     seed: int
     lambda_schedule: tuple[tuple[int, float], ...] = ()
     window: int = 100
-    skip_when_empty: bool = False
     max_slots: int | None = None
 
     def __post_init__(self) -> None:
@@ -86,6 +87,8 @@ class Scenario:
             raise ValueError("horizon_frames must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        if self.max_slots is not None and self.max_slots < 1:
+            raise ValueError("max_slots must be at least 1")
         last = 0
         for frame_index, new_lam in self.lambda_schedule:
             if frame_index <= last:
@@ -111,7 +114,7 @@ class Scenario:
 
 def build_policy(spec: PolicySpec, params: ModelParams):
     if spec.kind == "fbdpp":
-        return FrameDriftPenaltyPolicy(params, spec.v)
+        return FrameDriftPenaltyPolicy(params)
     if spec.kind == "no_coop":
         return NoCoopPolicy(params)
     if spec.kind == "always_coop":
@@ -127,16 +130,16 @@ class RunMetrics:
 
     Per-frame arrays cover completed frames only. ``q_su_end``/``x_su_end``
     are the values right after each frame's closing boundary, i.e. the
-    weights the next frame starts from. Cumulative figures use completed
-    frames when there are any, else the partial tail (a primary arrival rate
-    of zero never completes a frame).
+    weights the next frame starts from. Cumulative figures cover the
+    completed frames plus the partial tail after the last boundary; the tail
+    is empty whenever the horizon completes, and is all there is when a
+    primary arrival rate of zero never completes a frame.
     """
 
     policy_label: str
     v: float | None
     seed: int
     window: int
-    rng_name: str
     frame_len: np.ndarray
     admitted: np.ndarray
     served: np.ndarray
@@ -161,42 +164,26 @@ class RunMetrics:
     def slots(self) -> int:
         return int(self.frame_len.sum())
 
-    def _totals(self) -> tuple[int, float, float, float, float]:
-        if self.frames > 0:
-            return (
-                self.slots,
-                float(self.admitted.sum()),
-                float(self.served.sum()),
-                float(self.power_idle.sum() + self.power_coop.sum()),
-                float(self.q_sum.sum()),
-            )
-        return (
-            self.partial_slots,
-            float(self.partial_admitted),
-            float(self.partial_served),
-            self.partial_power,
-            float(self.partial_q_sum),
-        )
+    def _per_slot(self, frames_total, tail) -> float:
+        """``frames_total`` over completed frames plus ``tail``, per slot."""
+        return float(frames_total + tail) / max(self.slots + self.partial_slots, 1)
 
     @property
     def throughput_admitted(self) -> float:
-        slots, admitted, _, _, _ = self._totals()
-        return admitted / max(slots, 1)
+        return self._per_slot(self.admitted.sum(), self.partial_admitted)
 
     @property
     def throughput_served(self) -> float:
-        slots, _, served, _, _ = self._totals()
-        return served / max(slots, 1)
+        return self._per_slot(self.served.sum(), self.partial_served)
 
     @property
     def avg_power(self) -> float:
-        slots, _, _, power, _ = self._totals()
-        return power / max(slots, 1)
+        frames_power = float(self.power_idle.sum() + self.power_coop.sum())
+        return self._per_slot(frames_power, self.partial_power)
 
     @property
     def avg_q_su(self) -> float:
-        slots, _, _, _, q_sum = self._totals()
-        return q_sum / max(slots, 1)
+        return self._per_slot(self.q_sum.sum(), self.partial_q_sum)
 
     def moving_average(self, series: str, window: int | None = None) -> np.ndarray:
         """Per-slot rate of ``series`` over a trailing window of frames.
@@ -225,63 +212,51 @@ def run_episode(scenario: Scenario) -> RunMetrics:
 
     Stops early, returning the frames completed so far, once the scenario's
     ``slot_cap`` is reached. Raises RuntimeError if the backlog bound
-    ``v + a_max`` (fbdpp) or the virtual-queue identity
-    ``total power - p_avg * slots <= x_su`` is ever violated.
+    ``admit cap + a_max``, a non-negative virtual backlog at every boundary,
+    or the virtual-queue identity ``total power - p_avg * slots <= x_su`` is
+    ever violated.
     """
     par = scenario.params
     spec = scenario.policy
     lam_pu = par.lambda_pu
-    lam_su = par.lambda_su
     policy = build_policy(spec, par)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
-    v_bound = spec.v + par.a_max if spec.kind == "fbdpp" else None
+    admit_cap = spec.v if spec.kind == "fbdpp" else math.inf
+    q_bound = admit_cap + par.a_max
     max_slots = scenario.slot_cap
 
     schedule = list(scenario.lambda_schedule)
     sched_i = 0
 
-    frame_len: list[int] = []
-    admitted_l: list[int] = []
-    served_l: list[int] = []
-    power_idle_l: list[float] = []
-    power_coop_l: list[float] = []
-    q_su_end_l: list[int] = []
-    x_su_end_l: list[float] = []
-    idle_len_l: list[int] = []
-    q_sum_l: list[int] = []
-
-    state = SystemState()
+    frame_rows: list[tuple] = []   # one _FRAME_ARRAYS row per completed frame
+    q_pu = 0
+    q_su = 0
+    x_su = 0.0
+    slot = 0
+    frame_start = 0
+    frames_done = 0
     max_q = 0
     seen_busy = False
-    f_idle = 0
-    f_adm = 0
-    f_srv = 0
-    f_pi = 0.0
-    f_pc = 0.0
-    f_qsum = 0
-    frames_done = 0
+    f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
+    f_pi = f_pc = 0.0
 
     bi = _BLOCK  # the first slot draws the first block
 
-    policy.begin_frame(state.q_su, state.x_su)
-    while frames_done < scenario.horizon_frames and state.slot < max_slots:
+    policy.begin_frame(q_su, x_su)
+    while frames_done < scenario.horizon_frames and slot < max_slots:
         if bi == _BLOCK:
             block = rng.random((_BLOCK, 5))
-            arrivals_block = arrival_counts(block[:, 0], par.a_max, lam_su).tolist()
+            arrivals_block = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
             bi = 0
         row = block[bi]
-        phase = state.phase
-        idle = phase is Phase.PU_IDLE
+        idle = q_pu == 0
 
-        arrivals = arrivals_block[bi]
-        power = policy.choose_power(phase, state.q_su, row[1])
-        if idle and state.q_su == 0 and scenario.skip_when_empty:
-            power = 0.0
-        adm = policy.admit(state.q_su, arrivals)
+        power = policy.choose_power(idle, row[1])
+        adm = admit(q_su, arrivals_block[bi], admit_cap)
         if idle:
             pu_success = False
             offered = 1 if row[3] < par.mu_su_of(power) else 0
-            served = offered if state.q_su > 0 else 0
+            served = offered if q_su > 0 else 0
         else:
             pu_success = bool(row[2] < par.phi_of(power))
             offered = 0
@@ -289,18 +264,16 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         a_pu = 1 if row[4] < lam_pu else 0
         bi += 1
 
-        f_qsum += state.q_su
-        state.q_pu = step_pu_queue(state.q_pu, pu_success, a_pu)
-        state.q_su = step_su_queue(state.q_su, offered, adm)
-        state.slot += 1
-        state.phase = Phase.PU_IDLE if state.q_pu == 0 else Phase.PU_BUSY
-        if state.q_su > max_q:
-            max_q = state.q_su
-        if v_bound is not None and state.q_su > v_bound:
+        f_qsum += q_su
+        q_pu = step_pu_queue(q_pu, pu_success, a_pu)
+        q_su = step_su_queue(q_su, offered, adm)
+        slot += 1
+        if q_su > max_q:
+            max_q = q_su
+        if q_su > q_bound:
             raise RuntimeError(
-                "backlog bound violated: q_su=%d > v + a_max=%g" % (state.q_su, v_bound)
+                "backlog bound violated: q_su=%d > admit cap + a_max=%g" % (q_su, q_bound)
             )
-        policy.end_slot(power, phase)
 
         f_adm += adm
         f_srv += served
@@ -311,48 +284,34 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             f_pc += power
             seen_busy = True
 
-        if seen_busy and state.q_pu == 0:
-            f_len = state.slot - state.frame_start_slot
-            state.x_su = update_virtual_queue(
-                state.x_su, f_len, f_pi + f_pc, par.p_avg
-            )
-            frame_len.append(f_len)
-            admitted_l.append(f_adm)
-            served_l.append(f_srv)
-            power_idle_l.append(f_pi)
-            power_coop_l.append(f_pc)
-            q_su_end_l.append(state.q_su)
-            x_su_end_l.append(state.x_su)
-            idle_len_l.append(f_idle)
-            q_sum_l.append(f_qsum)
+        if seen_busy and q_pu == 0:
+            f_len = slot - frame_start
+            x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, par.p_avg)
+            if not x_su >= 0.0:
+                raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
+            frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
             frames_done += 1
             while sched_i < len(schedule) and frames_done >= schedule[sched_i][0]:
                 lam_pu = schedule[sched_i][1]
                 sched_i += 1
-            state.frame_start_slot = state.slot
-            state.check()
-            policy.begin_frame(state.q_su, state.x_su)
+            frame_start = slot
+            policy.begin_frame(q_su, x_su)
             seen_busy = False
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0
 
+    columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
+    arrays = {
+        name: np.asarray(col, dtype=dt) for (name, dt), col in zip(_FRAME_ARRAYS, columns)
+    }
     metrics = RunMetrics(
         policy_label=spec.label(),
         v=spec.v,
         seed=scenario.seed,
         window=scenario.window,
-        rng_name=RNG_NAME,
-        frame_len=np.asarray(frame_len, dtype=np.int64),
-        admitted=np.asarray(admitted_l, dtype=np.int64),
-        served=np.asarray(served_l, dtype=np.int64),
-        power_idle=np.asarray(power_idle_l, dtype=float),
-        power_coop=np.asarray(power_coop_l, dtype=float),
-        q_su_end=np.asarray(q_su_end_l, dtype=np.int64),
-        x_su_end=np.asarray(x_su_end_l, dtype=float),
-        idle_len=np.asarray(idle_len_l, dtype=np.int64),
-        q_sum=np.asarray(q_sum_l, dtype=np.int64),
+        **arrays,
         max_q_su=max_q,
-        partial_slots=state.slot - state.frame_start_slot,
+        partial_slots=slot - frame_start,
         partial_admitted=f_adm,
         partial_served=f_srv,
         partial_power=f_pi + f_pc,
@@ -360,9 +319,9 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     )
     spent = float(metrics.power_idle.sum() + metrics.power_coop.sum())
     excess = spent - par.p_avg * metrics.slots
-    if excess > state.x_su + 1e-9 * max(1.0, spent):
+    if excess > x_su + 1e-9 * max(1.0, spent):
         raise RuntimeError(
-            "virtual-queue identity violated: power excess %g > x_su=%g" % (excess, state.x_su)
+            "virtual-queue identity violated: power excess %g > x_su=%g" % (excess, x_su)
         )
     return metrics
 

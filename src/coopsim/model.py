@@ -14,15 +14,7 @@ each own their state with no sharing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
-
-
-class Phase(Enum):
-    """Channel occupancy phase within a frame."""
-
-    PU_IDLE = 0
-    PU_BUSY = 1
 
 
 class UnstableChainError(ValueError):
@@ -161,23 +153,6 @@ class ModelParams:
 
     def mu_su_of(self, power: float) -> float:
         return self.mu_su[power]
-
-
-@dataclass
-class SystemState:
-    """Per-slot dynamic state of one simulated episode."""
-
-    q_pu: int = 0
-    q_su: int = 0
-    x_su: float = 0.0           # virtual power backlog, frame-updated
-    slot: int = 0
-    frame_start_slot: int = 0
-    phase: Phase = Phase.PU_IDLE
-
-    def check(self) -> None:
-        assert (self.q_pu == 0) == (self.phase is Phase.PU_IDLE)
-        assert self.x_su >= 0.0
-        assert self.frame_start_slot <= self.slot
 
 
 def step_pu_queue(q_pu: int, pu_success: bool, arrival: int) -> int:

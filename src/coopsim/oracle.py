@@ -11,9 +11,10 @@ Raising q buys idle slots at increasing power cost, so the optimum either
 saturates q = 1 (slack budget), sits at q = 0 (idle transmission alone
 exhausts the budget), or balances the budget exactly between cooperation and
 transmission. ``optimal_two_point`` evaluates that closed form and
-double-checks it against a fine grid; ``grid_search`` is the independent
-brute-force oracle; ``simulate_stationary`` validates a policy by running the
-slotted chain.
+double-checks it against a fine grid; ``optimal_at_q`` is the same closed
+form with q held fixed; ``grid_search`` is the independent brute-force
+oracle; ``simulate_stationary`` validates a policy by running the slotted
+chain.
 """
 
 from __future__ import annotations
@@ -51,12 +52,27 @@ def _require_two_point(params: ModelParams) -> None:
         )
 
 
-def _policy_at(params: ModelParams, q: float, p: float) -> StationaryPolicy:
-    m = params.mu_su_of(params.p_max)
+def _occupancy(params: ModelParams, q):
+    """(pi_0, cooperation power per slot) at cooperation level ``q``; elementwise."""
     mu_eff = params.phi_nc + q * (params.phi_c - params.phi_nc)
-    pi_0 = 1.0 - params.lambda_pu / mu_eff
+    return 1.0 - params.lambda_pu / mu_eff, (params.lambda_pu / mu_eff) * q * params.p_max
+
+
+def _best_p(params: ModelParams, q):
+    """(pi_0, p) at cooperation level ``q``, elementwise.
+
+    p is the idle transmission probability that spends what the budget leaves
+    after cooperation, capped at 1; it is negative where cooperation alone
+    overspends the budget.
+    """
+    pi_0, coop = _occupancy(params, q)
+    return pi_0, np.minimum((params.p_avg - coop) / (pi_0 * params.p_max), 1.0)
+
+
+def _policy_at(params: ModelParams, q: float, p: float) -> StationaryPolicy:
+    pi_0 = _occupancy(params, q)[0]
     power = (1.0 - pi_0) * q * params.p_max + pi_0 * p * params.p_max
-    ups = min(params.lambda_su, pi_0 * p * m)
+    ups = min(params.lambda_su, pi_0 * p * params.mu_su_of(params.p_max))
     return StationaryPolicy(
         coop_prob=q, idle_tx_prob=p, upsilon=ups, pi_0=pi_0, power_used=power
     )
@@ -75,14 +91,9 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
     m = params.mu_su_of(P)
     delta = params.phi_c - params.phi_nc
 
-    def pi_0(q: float) -> float:
-        return 1.0 - lam / (params.phi_nc + q * delta)
-
-    def coop_cost(q: float) -> float:
-        return (lam / (params.phi_nc + q * delta)) * q * P
-
     def full_cost(q: float) -> float:     # power when p = 1
-        return coop_cost(q) + pi_0(q) * P
+        pi_0, coop = _occupancy(params, q)
+        return coop + pi_0 * P
 
     if params.p_avg <= 0.0 or params.lambda_su == 0.0 or m == 0.0:
         return _policy_at(params, 0.0, 0.0)
@@ -99,16 +110,18 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
         q_cand = (P * lam - params.phi_nc * (P - params.p_avg)) / (
             delta * (P - params.p_avg) + P * lam
         )
-    if full_cost(q_cand) <= params.p_avg:
+    pi_cand, coop_cand = _occupancy(params, q_cand)
+    if coop_cand + pi_cand * P <= params.p_avg:      # power at p = 1
         p_cand = 1.0
     else:
-        p_cand = (params.p_avg - coop_cost(q_cand)) / (pi_0(q_cand) * P)
-    ups_cand = m * pi_0(q_cand) * p_cand
+        p_cand = (params.p_avg - coop_cand) / (pi_cand * P)
+    ups_cand = m * pi_cand * p_cand
 
     if params.lambda_su < ups_cand:
         # The cap binds: reach it with the least power.
-        if m * pi_0(0.0) >= params.lambda_su:
-            q_star, p_star = 0.0, params.lambda_su / (m * pi_0(0.0))
+        pi_nc = _occupancy(params, 0.0)[0]
+        if m * pi_nc >= params.lambda_su:
+            q_star, p_star = 0.0, params.lambda_su / (m * pi_nc)
         else:
             mu_needed = lam / (1.0 - params.lambda_su / m)
             q_star, p_star = (mu_needed - params.phi_nc) / delta, 1.0
@@ -125,19 +138,39 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
 
 
 def _best_on_q_grid(params: ModelParams, step: float) -> float:
-    """Best achievable rate over a q grid with p chosen optimally per q."""
-    lam = params.lambda_pu
-    P = params.p_max
-    m = params.mu_su_of(P)
-    delta = params.phi_c - params.phi_nc
+    """Best achievable rate over a q grid with p chosen optimally per q.
+
+    Where cooperation alone overspends the budget, p and hence the rate are
+    negative and never win, since q = 0 is always within budget.
+    """
     q = np.arange(0.0, 1.0 + step / 2, step)
     q[-1] = 1.0
-    mu_eff = params.phi_nc + q * delta
-    pi_0 = 1.0 - lam / mu_eff
-    coop = (lam / mu_eff) * q * P
-    p_best = np.clip((params.p_avg - coop) / np.maximum(pi_0 * P, 1e-300), 0.0, 1.0)
-    ups = np.minimum(params.lambda_su, m * pi_0 * p_best)
+    pi_0, p = _best_p(params, q)
+    ups = np.minimum(params.lambda_su, params.mu_su_of(params.p_max) * pi_0 * p)
     return float(ups.max())
+
+
+def _check_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"cooperation probability q={q:g} must lie in [0, 1]")
+
+
+def optimal_at_q(params: ModelParams, q: float) -> StationaryPolicy:
+    """Best stationary pair with the cooperation probability fixed at ``q``.
+
+    Closed form: the budget left after cooperation buys idle transmission,
+    up to p = 1 or the arrival rate. Raises ValueError when q is outside
+    [0, 1] or cooperation at q alone overspends the budget.
+    """
+    _require_two_point(params)
+    _check_q(q)
+    pi_0, p = _best_p(params, q)
+    if p < 0.0:
+        raise ValueError(f"cooperation at q={q:g} alone exceeds p_avg={params.p_avg:g}")
+    m = params.mu_su_of(params.p_max)
+    # no more idle transmission than it takes to serve every arrival
+    p = min(p, params.lambda_su / (m * pi_0)) if m > 0.0 else 0.0
+    return _policy_at(params, float(q), float(p))
 
 
 def grid_search(
@@ -149,28 +182,29 @@ def grid_search(
     support makes the result a documented approximation rather than the true
     optimum. Returns the best feasible grid point; on ties the scan order (q
     ascending, then p ascending) keeps the least-cooperative, least-active
-    point. ``q_fixed`` restricts the scan to one cooperation level.
+    point. ``q_fixed`` restricts the scan to one cooperation level. Raises
+    ValueError when ``q_fixed`` is outside [0, 1] or no grid point meets the
+    budget.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
-    lam = params.lambda_pu
     P = params.p_max
     m = params.mu_su_of(P)
-    delta = params.phi_c - params.phi_nc
     if q_fixed is None:
         q = np.arange(0.0, 1.0 + step / 2, step)
         q[-1] = min(q[-1], 1.0)
     else:
+        _check_q(q_fixed)
         q = np.asarray([q_fixed], dtype=float)
     p = np.arange(0.0, 1.0 + step / 2, step)
     p[-1] = min(p[-1], 1.0)
-    mu_eff = params.phi_nc + q * delta
-    pi_0 = 1.0 - lam / mu_eff
-    coop = (lam / mu_eff) * q * P
+    pi_0, coop = _occupancy(params, q)
     power = coop[:, None] + pi_0[:, None] * p[None, :] * P
     ups = np.minimum(params.lambda_su, m * pi_0[:, None] * p[None, :])
     ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
     i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
+    if ups[i, j] == -np.inf:
+        raise ValueError(f"no grid point meets p_avg={params.p_avg:g}")
     return _policy_at(params, float(q[i]), float(p[j]))
 
 

@@ -163,6 +163,42 @@ def test_cli_oracle_validate(tmp_path, capsys):
     assert value == pytest.approx(0.25, abs=0.02)
 
 
+def test_cli_oracle_force_q_is_exact(tmp_path, capsys):
+    # closed form at a forced q: p = 7/9 exactly, not a 1e-3 grid point
+    cfg = write_config(tmp_path, BASE + f"\nout_dir = {tmp_path}/out\n")
+    assert main(["oracle", "--config", str(cfg), "--force-q", "0.4"]) == 0
+    kv = dict(l.split("=", 1) for l in capsys.readouterr().out.splitlines())
+    assert kv["method"] == "closed-form(q=0.4 forced)"
+    assert float(kv["p"]) == pytest.approx(7 / 9, abs=1e-12)
+    assert float(kv["upsilon"]) == pytest.approx(0.20588235294117646, abs=1e-15)
+    assert float(kv["power_used"]) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    ["--force-q", "1.5"],
+    ["--force-q", "-0.1"],
+    ["--force-q", "1"],                         # cooperation alone costs 0.625
+    ["--force-q", "1", "--grid-step", "0.01"],
+    ["--grid-step", "0.5"],
+    ["--validate", "--validate-slots", "0"],
+])
+def test_cli_oracle_bad_inputs_are_config_errors(tmp_path, capsys, args):
+    cfg = write_config(tmp_path, BASE + f"\nout_dir = {tmp_path}/out\n")
+    assert main(["oracle", "--config", str(cfg), *args]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()      # nothing written, no oracle.csv
+
+
+@pytest.mark.parametrize("max_slots", ["0", "-5"])
+def test_non_positive_max_slots_rejected(tmp_path, capsys, max_slots):
+    cfg = write_config(tmp_path, BASE + f"\nmax_slots = {max_slots}\nout_dir = {tmp_path}/out\n")
+    with pytest.raises(ConfigError, match="max_slots"):
+        RunConfig.from_path(cfg).build_scenario()
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "max_slots must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_oracle_grid_needed_for_grids(tmp_path, capsys):
     text = """
 lambda_pu = 0.5

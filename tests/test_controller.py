@@ -8,7 +8,6 @@ from coopsim import (
     FadingModel,
     FrameDriftPenaltyPolicy,
     ModelParams,
-    Phase,
     PowerSet,
     SizeCapExceededError,
     admit,
@@ -127,12 +126,12 @@ def test_threshold_rule_equals_direct_argmin():
 
 
 def test_frame_power_dispatch():
-    pol = FrameDriftPenaltyPolicy(REF, v=25.0)
+    pol = FrameDriftPenaltyPolicy(REF)
     pol.p0_star, pol.p1_star = 1.0, 0.0
-    assert pol.choose_power(Phase.PU_IDLE, 0, 0.5) == 1.0
-    assert pol.choose_power(Phase.PU_BUSY, 0, 0.5) == 0.0
+    assert pol.choose_power(True, 0.5) == 1.0
+    assert pol.choose_power(False, 0.5) == 0.0
     pol.p0_star, pol.p1_star = 0.0, 1.0
-    assert pol.choose_power(Phase.PU_BUSY, 0, 0.5) == 1.0
+    assert pol.choose_power(False, 0.5) == 1.0
 
 
 def test_scaling_invariance():
@@ -288,8 +287,8 @@ def test_policy_queue_bound_and_frame_constancy():
     assert metrics.max_q_su <= 25 + REF.a_max
     # two distinct power values per frame at most: idle power stays p0 within
     # the frame, busy power stays p1 (frame sums must be multiples)
-    pol = FrameDriftPenaltyPolicy(REF, v=25.0)
+    pol = FrameDriftPenaltyPolicy(REF)
     pol.begin_frame(40, 3.0)
     for _ in range(5):
-        assert pol.choose_power(Phase.PU_IDLE, 12, 0.3) == pol.p0_star
-        assert pol.choose_power(Phase.PU_BUSY, 12, 0.9) == pol.p1_star
+        assert pol.choose_power(True, 0.3) == pol.p0_star
+        assert pol.choose_power(False, 0.9) == pol.p1_star

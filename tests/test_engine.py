@@ -194,18 +194,47 @@ def test_sweep_worker_env_cap(monkeypatch):
         sweep_v(sc, [10, 20])
 
 
-def test_skip_when_empty_reduces_power():
-    # with a trickle of arrivals the queue is empty most idle slots, so the
-    # allocation-charged mode spends visibly more
-    trickle = ModelParams.two_point(0.5, 0.05, 0.6, 0.8, 0.5)
-    strict = Scenario(params=trickle, policy=PolicySpec(kind="no_coop"),
-                      horizon_frames=2000, seed=44)
-    lazy = Scenario(params=trickle, policy=PolicySpec(kind="no_coop"),
-                    horizon_frames=2000, seed=44, skip_when_empty=True)
-    m_strict = run_episode(strict)
-    m_lazy = run_episode(lazy)
-    assert m_lazy.avg_power < 0.75 * m_strict.avg_power
-    # the served stream itself is unchanged by the accounting mode
-    assert m_lazy.throughput_served == pytest.approx(
-        m_strict.throughput_served, abs=1e-12
-    )
+@pytest.mark.parametrize("spec", [
+    FBDPP,
+    PolicySpec(kind="no_coop"),
+    PolicySpec(kind="always_coop"),
+    PolicySpec(kind="counter"),
+    PolicySpec(kind="stationary", coop_prob=0.4, idle_tx_prob=0.7),
+])
+def test_one_policy_call_per_slot(monkeypatch, spec):
+    # choose_power is the only per-slot policy call, and what it returns is
+    # what the slot spends
+    import coopsim.engine as engine
+
+    build_policy = engine.build_policy
+    built = []
+
+    def counting_policy(spec, params):
+        policy = build_policy(spec, params)
+        choose = policy.choose_power
+        calls = [0]
+
+        def counted(idle, u):
+            calls[0] += 1
+            return choose(idle, u)
+
+        policy.choose_power = counted
+        built.append((policy, calls))
+        return policy
+
+    monkeypatch.setattr(engine, "build_policy", counting_policy)
+    m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=300, seed=9))
+    [(policy, calls)] = built
+    assert calls[0] == m.slots
+    if spec.kind != "fbdpp":     # the open-loop policies count their own spend
+        assert policy.slots == m.slots
+        assert policy.spend == float(m.power_idle.sum() + m.power_coop.sum())
+
+
+def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
+    import coopsim.engine as engine
+
+    monkeypatch.setattr(engine, "update_virtual_queue", lambda x, n, spent, p_avg: -1.0)
+    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=20, seed=3)
+    with pytest.raises(RuntimeError, match="virtual backlog went negative"):
+        run_episode(sc)

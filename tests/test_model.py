@@ -90,19 +90,6 @@ def test_power_set_invariants():
         PowerSet(levels=(0.0, 0.5, 0.5))   # not strictly increasing
 
 
-def test_system_state_invariants():
-    from coopsim import Phase, SystemState
-
-    state = SystemState()
-    state.check()
-    state.q_pu = 2
-    state.phase = Phase.PU_BUSY
-    state.check()
-    state.phase = Phase.PU_IDLE
-    with pytest.raises(AssertionError):
-        state.check()
-
-
 def test_model_params_validation():
     good = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
     assert good.phi_nc == 0.6 and good.phi_c == 0.8 and good.mu_max == 1.0

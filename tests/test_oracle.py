@@ -4,6 +4,7 @@ import pytest
 from coopsim import (
     ModelParams,
     grid_search,
+    optimal_at_q,
     optimal_two_point,
     simulate_stationary,
 )
@@ -73,6 +74,28 @@ def test_grid_no_cooperation_row():
     best = grid_search(REF, step=1e-3, q_fixed=0.0)
     assert best.upsilon == pytest.approx(1 / 6, abs=1e-3)
     assert best.coop_prob == 0.0
+
+
+def test_forced_q_closed_form_and_refusals():
+    at = optimal_at_q(REF, 0.4)
+    assert at.idle_tx_prob == pytest.approx(7 / 9, abs=1e-12)
+    assert at.power_used == pytest.approx(REF.p_avg, abs=1e-12)
+    # the closed form beats or matches every grid point on the same q row
+    assert at.upsilon >= grid_search(REF, step=1e-3, q_fixed=0.4).upsilon
+    assert optimal_at_q(REF, 0.0).upsilon == pytest.approx(1 / 6)
+    # a low arrival rate caps p at the least value that serves every arrival
+    capped = optimal_at_q(ModelParams.two_point(0.5, 0.1, 0.6, 0.8, 0.5), 0.4)
+    assert capped.upsilon == pytest.approx(0.1) and capped.power_used < 0.5
+    for q in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            optimal_at_q(REF, q)
+        with pytest.raises(ValueError, match="must lie in"):
+            grid_search(REF, step=1e-2, q_fixed=q)
+    # cooperating in every busy slot costs 0.625 > p_avg = 0.5 on its own
+    with pytest.raises(ValueError, match="exceeds p_avg"):
+        optimal_at_q(REF, 1.0)
+    with pytest.raises(ValueError, match="no grid point meets"):
+        grid_search(REF, step=1e-2, q_fixed=1.0)
 
 
 def test_grid_corners_only():
