@@ -131,17 +131,22 @@ def _summary_line(metrics: RunMetrics) -> str:
     )
 
 
+# Flags that override the config key of the same name (``--out-dir`` sets
+# ``out_dir``); each subcommand takes only the ones it reads.
+_OVERRIDES = {
+    "seed": "episode seed",
+    "frames": "horizon in complete frames",
+    "v": "controller trade-off knob",
+    "v_list": "comma-separated v values",
+    "policy": "policy kind",
+    "out_dir": "output directory",
+    "window": "moving-average window, frames",
+}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_path(args.config)
-    cfg.override(
-        seed=getattr(args, "seed", None),
-        frames=getattr(args, "frames", None),
-        v=getattr(args, "v", None),
-        v_list=getattr(args, "v_list", None),
-        policy=getattr(args, "policy", None),
-        out_dir=getattr(args, "out_dir", None),
-        window=getattr(args, "window", None),
-    )
+    cfg.override(**{key: getattr(args, key, None) for key in _OVERRIDES})
     return cfg
 
 
@@ -190,10 +195,11 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    v_values = cfg.v_list()
+    cfg.override(v=v_values[0])    # template only: sweep_v sets v on every row
     scenario = cfg.build_scenario()
     if scenario.policy.kind != "fbdpp":
         raise ConfigError("sweep requires policy = fbdpp")
-    v_values = cfg.v_list()
     results = sweep_v(scenario, v_values)
     for _, metrics in results:
         _complete(scenario, metrics)
@@ -241,8 +247,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     row = [policy.upsilon, policy.coop_prob, policy.idle_tx_prob, policy.pi_0, policy.power_used]
     _write_csv(_out_dir(cfg) / "oracle.csv", None, ORACLE_CSV_COLUMNS, [[_fmt(x) for x in row]])
     if args.validate:
-        seed = int(cfg.raw.get("seed", "1"))
-        sim = simulate_stationary(policy, params, args.validate_slots, seed)
+        sim = simulate_stationary(policy, params, args.validate_slots, cfg.get("seed", 1))
         print(
             f"validated_throughput={sim.throughput:.6f} "
             f"validated_power={sim.avg_power:.6f} "
@@ -263,11 +268,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"d={constants.d_const!r}")
     print(f"b={constants.b_const!r}")
     print(f"c={constants.c_const!r}")
-    v_values: list[float] = []
-    if "v_list" in cfg.raw:
-        v_values = cfg.v_list()
-    elif "v" in cfg.raw:
-        v_values = [float(cfg.raw["v"])]
+    v = cfg.get("v", None)
+    v_values = cfg.get("v_list", [] if v is None else [v])
     if v_values:
         if params.power_set.two_point:
             upsilon = optimal_two_point(params).upsilon
@@ -291,9 +293,7 @@ def cmd_baselines(args: argparse.Namespace) -> int:
         baseline_frames = scenario.horizon_frames
     else:
         baseline_frames = max(scenario.horizon_frames, int(120_000 / constants.t_min) + 1)
-    v = scenario.policy.v if scenario.policy.kind == "fbdpp" else float(
-        cfg.raw.get("v", 500)
-    )
+    v = scenario.policy.v if scenario.policy.kind == "fbdpp" else cfg.get("v", 500.0)
     specs = [PolicySpec(kind=kind) for kind in ("no_coop", "always_coop", "counter")]
     specs.append(PolicySpec(kind="fbdpp", v=v))
     rows = []
@@ -321,31 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, about: str, *keys: str) -> argparse.ArgumentParser:
+        # No prefix matching: ``sweep --v`` must not quietly mean ``--v-list``.
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to key = value config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--frames", type=int, default=None)
-        p.add_argument("--v", type=float, default=None)
-        p.add_argument("--out-dir", default=None)
-        p.add_argument("--window", type=int, default=None)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=_OVERRIDES[key])
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="one episode; writes frames.csv and summary.csv")
-    common(p_run)
-    p_run.add_argument("--policy", default=None, help="override the config policy kind")
-    p_run.set_defaults(func=cmd_run)
-
-    p_adaptive = sub.add_parser("adaptive", help="episode with the lambda_pu schedule")
-    common(p_adaptive)
-    p_adaptive.add_argument("--policy", default=None)
-    p_adaptive.set_defaults(func=cmd_adaptive)
-
-    p_sweep = sub.add_parser("sweep", help="episodes over a list of v values")
-    common(p_sweep)
-    p_sweep.add_argument("--v-list", default=None, help="comma-separated v values")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="offline optimal stationary policy")
-    common(p_oracle)
+    command("run", cmd_run, "one episode; writes frames.csv and summary.csv",
+            "seed", "frames", "v", "policy", "out_dir")
+    command("adaptive", cmd_adaptive, "episode with the lambda_pu schedule",
+            "seed", "frames", "v", "policy", "out_dir", "window")
+    command("sweep", cmd_sweep, "episodes over a list of v values",
+            "seed", "frames", "v_list", "out_dir")
+    p_oracle = command("oracle", cmd_oracle, "offline optimal stationary policy",
+                       "seed", "out_dir")
     p_oracle.add_argument("--validate", action="store_true",
                           help="also simulate the returned policy")
     p_oracle.add_argument("--validate-slots", type=int, default=400_000)
@@ -353,17 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use the brute-force grid at this step")
     p_oracle.add_argument("--force-q", type=float, default=None,
                           help="restrict the cooperation probability")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_analyze = sub.add_parser("analyze", help="closed-form constants and bounds")
-    common(p_analyze)
-    p_analyze.add_argument("--v-list", default=None)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_base = sub.add_parser("baselines", help="comparison table of all policies")
-    common(p_base)
-    p_base.set_defaults(func=cmd_baselines)
-
+    command("analyze", cmd_analyze, "closed-form constants and bounds", "v", "v_list")
+    command("baselines", cmd_baselines, "comparison table of all policies",
+            "seed", "frames", "v")
     return parser
 
 

@@ -1,7 +1,10 @@
 """Flat ``key = value`` run configuration.
 
-One line per setting, ``#`` starts a comment, no nesting. Unknown keys are
-rejected and every value is range-checked before anything runs, so a bad
+One line per setting, ``#`` starts a comment, no nesting. Every value is
+parsed when it is read, from the file or from a CLI override, by its key's
+entry in ``_KEYS``: an unknown key or a malformed value is a ``ConfigError``
+at that moment, whether or not the command goes on to use the key. Ranges
+are checked when the model objects are built, before anything runs, so a bad
 config never produces a partial run. Maps (``phi``, ``mu_su``) are written as
 ``power:prob`` pairs separated by commas; the two-point shorthand
 ``phi_nc``/``phi_c`` covers the common case.
@@ -20,39 +23,88 @@ class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-_KNOWN_KEYS = {
-    "lambda_pu",
-    "lambda_su",
-    "a_max",
-    "phi",
-    "phi_nc",
-    "phi_c",
-    "mu_su",
-    "mu_su_max",
-    "p_avg",
-    "p_max",
-    "power_levels",
-    "policy",
-    "v",
-    "v_list",
-    "stationary_q",
-    "stationary_p",
-    "frames",
-    "seed",
-    "window",
-    "lambda_schedule",
-    "max_slots",
-    "out_dir",
+def _pairs(text: str, first, second, form: str) -> list:
+    out = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if ":" not in item:
+            raise ValueError(f"expected {form} pairs, got {item!r}")
+        a, b = item.split(":", 1)
+        try:
+            out.append((first(a), second(b)))
+        except ValueError as exc:
+            raise ValueError(f"bad pair {item!r}") from exc
+    return out
+
+
+def _prob_map(text: str) -> dict[float, float]:
+    out = dict(_pairs(text, float, float, "power:prob"))
+    if not out:
+        raise ValueError("empty map")
+    return out
+
+
+def _float_list(text: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad list {text!r}") from exc
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _schedule(text: str) -> tuple[tuple[int, float], ...]:
+    return tuple(_pairs(text, int, float, "frame:rate"))
+
+
+# Every config key and the parser its value goes through.
+_KEYS = {
+    "lambda_pu": float,
+    "lambda_su": float,
+    "a_max": int,
+    "phi": _prob_map,
+    "phi_nc": float,
+    "phi_c": float,
+    "mu_su": _prob_map,
+    "mu_su_max": float,
+    "p_avg": float,
+    "p_max": float,
+    "power_levels": _float_list,
+    "policy": str,
+    "v": float,
+    "v_list": _float_list,
+    "stationary_q": float,
+    "stationary_p": float,
+    "frames": int,
+    "seed": int,
+    "window": int,
+    "lambda_schedule": _schedule,
+    "max_slots": int,
+    "out_dir": str,
 }
 
 _REQUIRED_KEYS = {"lambda_pu", "lambda_su", "p_avg", "policy"}
 
+_NO_DEFAULT = object()
+
+
+def _parse(key: str, text: str, where: str):
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return _KEYS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
 
 @dataclass
 class RunConfig:
-    """Validated settings ready to be turned into model objects."""
+    """Parsed settings ready to be turned into model objects."""
 
-    raw: dict[str, str] = field(default_factory=dict)
+    values: dict[str, object] = field(default_factory=dict)
 
     @classmethod
     def from_path(cls, path: str | Path) -> "RunConfig":
@@ -64,7 +116,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        raw: dict[str, str] = {}
+        values: dict[str, object] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -72,109 +124,64 @@ class RunConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in raw:
+            if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            raw[key] = value
-        missing = _REQUIRED_KEYS - raw.keys()
+            values[key] = _parse(key, value, f"line {lineno}")
+        missing = _REQUIRED_KEYS - values.keys()
         if missing:
             raise ConfigError("missing required keys: " + ", ".join(sorted(missing)))
-        return cls(raw=raw)
+        return cls(values=values)
 
     def override(self, **kwargs) -> None:
-        """Apply CLI overrides (string values, same validation path)."""
+        """Apply CLI overrides; ``None`` skips a key, anything else is parsed as text."""
         for key, value in kwargs.items():
-            if value is None:
-                continue
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown override {key!r}")
-            self.raw[key] = str(value)
+            if value is not None:
+                self.values[key] = _parse(key, str(value), "override")
 
-    # typed getters -------------------------------------------------------
-
-    def _float(self, key: str, default: float | None = None) -> float:
-        if key not in self.raw:
-            if default is None:
-                raise ConfigError(f"missing key {key!r}")
-            return default
-        try:
-            return float(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {self.raw[key]!r}") from exc
-
-    def _int(self, key: str, default: int | None = None) -> int:
-        if key not in self.raw:
-            if default is None:
-                raise ConfigError(f"missing key {key!r}")
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {self.raw[key]!r}") from exc
-
-    def _prob_map(self, key: str) -> dict[float, float]:
-        out: dict[float, float] = {}
-        for item in self.raw[key].split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if ":" not in item:
-                raise ConfigError(f"{key}: expected power:prob pairs, got {item!r}")
-            power_s, prob_s = item.split(":", 1)
-            try:
-                out[float(power_s)] = float(prob_s)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: bad pair {item!r}") from exc
-        if not out:
-            raise ConfigError(f"{key}: empty map")
-        return out
-
-    def _float_list(self, key: str) -> list[float]:
-        try:
-            values = [float(x) for x in self.raw[key].split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad list {self.raw[key]!r}") from exc
-        if not values:
-            raise ConfigError(f"{key}: empty list")
-        return values
+    def get(self, key: str, default=_NO_DEFAULT):
+        """Parsed value of ``key``, else ``default``; a missing key without one is an error."""
+        if key in self.values:
+            return self.values[key]
+        if default is _NO_DEFAULT:
+            raise ConfigError(f"missing key {key!r}")
+        return default
 
     # builders ------------------------------------------------------------
 
     def build_params(self) -> ModelParams:
-        p_max = self._float("p_max", 1.0)
-        if "power_levels" in self.raw:
-            power_set = PowerSet.make_grid(self._float_list("power_levels"))
+        p_max = self.get("p_max", 1.0)
+        levels = self.get("power_levels", None)
+        if levels is not None:
+            power_set = PowerSet.make_grid(levels)
         else:
             power_set = PowerSet.make_two_point(p_max)
         if power_set.p_max != p_max:
             raise ConfigError("power_levels must peak at p_max")
 
-        if "phi" in self.raw:
-            if "phi_nc" in self.raw or "phi_c" in self.raw:
+        if "phi" in self.values:
+            if "phi_nc" in self.values or "phi_c" in self.values:
                 raise ConfigError("give either phi or phi_nc/phi_c, not both")
-            phi = self._prob_map("phi")
+            phi = self.get("phi")
         else:
-            if "phi_nc" not in self.raw or "phi_c" not in self.raw:
+            if "phi_nc" not in self.values or "phi_c" not in self.values:
                 raise ConfigError("need phi, or both phi_nc and phi_c")
             if not power_set.two_point:
                 raise ConfigError("phi_nc/phi_c shorthand needs a two-point set")
-            phi = {0.0: self._float("phi_nc"), p_max: self._float("phi_c")}
+            phi = {0.0: self.get("phi_nc"), p_max: self.get("phi_c")}
 
-        if "mu_su" in self.raw:
-            mu_su = self._prob_map("mu_su")
-        else:
+        mu_su = self.get("mu_su", None)
+        if mu_su is None:
             mu_su = {level: 0.0 for level in power_set.levels}
-            mu_su[p_max] = self._float("mu_su_max", 1.0)
+            mu_su[p_max] = self.get("mu_su_max", 1.0)
 
         try:
             return ModelParams(
-                lambda_pu=self._float("lambda_pu"),
-                lambda_su=self._float("lambda_su"),
-                a_max=self._int("a_max", 1),
+                lambda_pu=self.get("lambda_pu"),
+                lambda_su=self.get("lambda_su"),
+                a_max=self.get("a_max", 1),
                 phi=phi,
                 mu_su=mu_su,
-                p_avg=self._float("p_avg"),
+                p_avg=self.get("p_avg"),
                 p_max=p_max,
                 power_set=power_set,
             )
@@ -182,54 +189,38 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def build_policy_spec(self) -> PolicySpec:
-        kind = self.raw["policy"].strip().lower()
+        kind = self.get("policy").strip().lower()
         try:
             if kind == "fbdpp":
-                return PolicySpec(kind="fbdpp", v=self._float("v"))
+                return PolicySpec(kind="fbdpp", v=self.get("v"))
             if kind == "stationary":
                 return PolicySpec(
                     kind="stationary",
-                    coop_prob=self._float("stationary_q"),
-                    idle_tx_prob=self._float("stationary_p"),
+                    coop_prob=self.get("stationary_q"),
+                    idle_tx_prob=self.get("stationary_p"),
                 )
             return PolicySpec(kind=kind)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def build_scenario(self) -> Scenario:
-        schedule: list[tuple[int, float]] = []
-        if "lambda_schedule" in self.raw:
-            for item in self.raw["lambda_schedule"].split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                if ":" not in item:
-                    raise ConfigError(
-                        f"lambda_schedule: expected frame:rate pairs, got {item!r}"
-                    )
-                frame_s, lam_s = item.split(":", 1)
-                try:
-                    schedule.append((int(frame_s), float(lam_s)))
-                except ValueError as exc:
-                    raise ConfigError(f"lambda_schedule: bad pair {item!r}") from exc
-        max_slots = self._int("max_slots") if "max_slots" in self.raw else None
         try:
             return Scenario(
                 params=self.build_params(),
                 policy=self.build_policy_spec(),
-                horizon_frames=self._int("frames", 1000),
-                seed=self._int("seed", 1),
-                lambda_schedule=tuple(schedule),
-                window=self._int("window", 100),
-                max_slots=max_slots,
+                horizon_frames=self.get("frames", 1000),
+                seed=self.get("seed", 1),
+                lambda_schedule=self.get("lambda_schedule", ()),
+                window=self.get("window", 100),
+                max_slots=self.get("max_slots", None),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def v_list(self) -> list[float]:
-        if "v_list" not in self.raw:
+        if "v_list" not in self.values:
             raise ConfigError("sweep needs v_list (config key or --v-list)")
-        return self._float_list("v_list")
+        return self.get("v_list")
 
     def out_dir(self) -> Path:
-        return Path(self.raw.get("out_dir", "."))
+        return Path(self.get("out_dir", "."))

@@ -93,8 +93,12 @@ def solve_p1(theta_star: float, x_su_frame: float, params: ModelParams) -> float
     """Pick the busy-slot cooperation power.
 
     Two-point sets use the threshold rule (boundary means do not cooperate);
-    general grids scan the ratio objective directly. Both give identical
-    answers on {0, p_max}, which the test suite checks exhaustively.
+    general grids scan the ratio objective directly. On {0, p_max} the two
+    agree except at exact ties of the two objectives, where the rounded
+    threshold can land just above ``x_su_frame`` and the rule then picks
+    p_max, against the lower-power tie rule the scan keeps. At the reference
+    point, q_su = 2 and x_su = 0.5 give theta = 1.5, both objectives equal
+    2.5, and the threshold rounds to 0.5000000000000002.
     """
     if params.power_set.two_point:
         if x_su_frame >= cooperation_threshold(theta_star, params):

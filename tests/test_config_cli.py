@@ -1,10 +1,18 @@
+import argparse
 import filecmp
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from coopsim.cli import main, read_frames_csv
+from coopsim import config
+from coopsim.cli import build_parser, main, read_frames_csv, write_sweep_csv
 from coopsim.config import ConfigError, RunConfig
+from coopsim.engine import PolicySpec, run_episode, sweep_v
+from coopsim.oracle import optimal_two_point, simulate_stationary
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE = """
 # reference operating point
@@ -286,3 +294,129 @@ def test_cli_adaptive(tmp_path, capsys):
     assert main(["adaptive", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "coop_power_ma=" in out
+
+
+@pytest.mark.parametrize("argv, edit", [
+    (["baselines", "--frames", "10"],
+     {"policy = fbdpp": "policy = counter", "v = 500": "v = abc"}),
+    (["analyze"], {"v = 500": "v = abc"}),
+    (["oracle", "--validate"], {"seed = 42": "seed = x1"}),
+    (["run"], {"seed = 42": "seed = 42\nv_list = 10, abc"}),   # a key run never reads
+])
+def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
+    text = BASE
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text + f"\nout_dir = {tmp_path}/out\n")
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()      # refused before anything is written
+
+
+def test_cli_sweep_takes_v_from_v_list(tmp_path):
+    # no template v needed, and the template v changes no byte of sweep.csv
+    for name, text in (("with_v", BASE), ("no_v", BASE.replace("v = 500", ""))):
+        text = text.replace("frames = 200", "frames = 50") + "\nv_list = 10, 100\n"
+        cfg = write_config(tmp_path, text + f"out_dir = {tmp_path}/{name}\n", f"{name}.conf")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "with_v" / "sweep.csv").read_bytes() == (
+        tmp_path / "no_v" / "sweep.csv").read_bytes()
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """{subcommand: its flags} as build_parser() defines them."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+IGNORED_FLAGS = [
+    ("run", "--window"), ("sweep", "--window"), ("sweep", "--v"),
+    ("oracle", "--frames"), ("oracle", "--v"), ("oracle", "--window"),
+    ("analyze", "--seed"), ("analyze", "--frames"), ("analyze", "--out-dir"),
+    ("analyze", "--window"), ("baselines", "--out-dir"), ("baselines", "--window"),
+]
+
+
+def test_cli_rejects_ignored_flags(tmp_path, capsys):
+    # a flag its subcommand would not read is a usage error, not a silent no-op
+    parser = build_parser()
+    for command, flag in IGNORED_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--config", "x.conf", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+    # ... and every flag that stays changes what its subcommand does
+    counter = write_config(tmp_path, BASE.replace("policy = fbdpp", "policy = counter"))
+    fbdpp = RunConfig.from_path(counter)
+    fbdpp.override(seed=777, frames=20, v=50, policy="fbdpp")
+    scenario = fbdpp.build_scenario()
+    episode = ["--config", str(counter), "--seed", "777", "--frames", "20", "--v", "50",
+               "--policy", "fbdpp"]
+
+    # run and adaptive: seed, frames, v and policy land in the CSVs under --out-dir
+    assert main(["run", *episode, "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["adaptive", *episode, "--window", "1",
+                 "--out-dir", str(tmp_path / "adaptive")]) == 0
+    for name in ("run", "adaptive"):
+        row = (tmp_path / name / "summary.csv").read_text().splitlines()[-1].split(",")
+        assert (row[0], row[1], row[-1]) == ("fbdpp(v=50)", "50.0", "777")
+        assert len(read_frames_csv(tmp_path / name / "frames.csv")["frame"]) == 20
+    ma = run_episode(scenario).moving_average("coop_power", window=1)[19]
+    assert f"frame=20 coop_power_ma={ma:.6f}" in capsys.readouterr().out
+
+    # sweep: seed, frames and v_list shape sweep.csv under --out-dir
+    sweep_cfg = write_config(tmp_path, BASE, "sweep.conf")
+    assert main(["sweep", "--config", str(sweep_cfg), "--seed", "777", "--frames", "20",
+                 "--v-list", "10,50", "--out-dir", str(tmp_path / "sweep")]) == 0
+    write_sweep_csv(tmp_path / "expected.csv", sweep_v(scenario, [10.0, 50.0]), 777)
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (
+        tmp_path / "expected.csv").read_bytes()
+
+    # oracle: seed drives the validation run, oracle.csv lands under --out-dir
+    capsys.readouterr()
+    assert main(["oracle", "--config", str(counter), "--seed", "777", "--validate",
+                 "--validate-slots", "2000", "--out-dir", str(tmp_path / "oracle")]) == 0
+    sim = simulate_stationary(optimal_two_point(scenario.params), scenario.params, 2000, 777)
+    assert f"validated_throughput={sim.throughput:.6f}" in capsys.readouterr().out
+    assert (tmp_path / "oracle" / "oracle.csv").exists()
+
+    # analyze: --v, then --v-list, replace the config's v = 500
+    assert main(["analyze", "--config", str(counter), "--v", "50"]) == 0
+    bounds = [l.split()[0] for l in capsys.readouterr().out.splitlines() if " throughput" in l]
+    assert bounds == ["v=50"]
+    assert main(["analyze", "--config", str(counter), "--v", "50", "--v-list", "10,20"]) == 0
+    bounds = [l.split()[0] for l in capsys.readouterr().out.splitlines() if " throughput" in l]
+    assert bounds == ["v=10", "v=20"]
+
+    # baselines: seed and frames fix every row's episode, v the controller row
+    assert main(["baselines", "--config", str(counter), "--seed", "777", "--frames", "20",
+                 "--v", "50"]) == 0
+    rows = {l.split()[0]: l.split()[1:] for l in capsys.readouterr().out.splitlines()[1:]}
+    no_coop = run_episode(replace(scenario, policy=PolicySpec(kind="no_coop")))
+    assert int(rows["no_coop"][3]) == no_coop.slots
+    assert "fbdpp(v=50)" in rows
+
+
+def _readme_table(heading: str) -> list[list[str]]:
+    """Body rows of the first table after ``heading`` in README, as cell lists."""
+    lines = README.read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(heading) + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows[2:]
+
+
+def test_readme_tables_match_the_code():
+    documented_keys = {key for row in _readme_table("### Config keys")
+                       for key in re.findall(r"`(\w+)`", row[0])}
+    assert documented_keys == set(config._KEYS)
+    documented_flags = {row[0].strip("`"): set(re.findall(r"`(--[\w-]+)`", row[1]))
+                        for row in _readme_table("### Flags")}
+    assert documented_flags == _parser_flags()
