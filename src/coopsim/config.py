@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import PolicySpec, Scenario
+from .engine import POLICY_KINDS, PolicySpec, Scenario
 from .model import ModelParams, PowerSet
 
 
@@ -56,6 +56,20 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _v_list(text: str) -> list[float]:
+    values = _float_list(text)
+    if not all(v > 0 for v in values):
+        raise ValueError("every v must be positive")
+    return values
+
+
+def _policy(text: str) -> str:
+    kind = text.strip().lower()
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    return kind
+
+
 def _schedule(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(_pairs(text, int, float, "frame:rate"))
 
@@ -73,9 +87,9 @@ _KEYS = {
     "p_avg": float,
     "p_max": float,
     "power_levels": _float_list,
-    "policy": str,
+    "policy": _policy,
     "v": float,
-    "v_list": _float_list,
+    "v_list": _v_list,
     "stationary_q": float,
     "stationary_p": float,
     "frames": int,
@@ -189,7 +203,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def build_policy_spec(self) -> PolicySpec:
-        kind = self.get("policy").strip().lower()
+        kind = self.get("policy")
         try:
             if kind == "fbdpp":
                 return PolicySpec(kind="fbdpp", v=self.get("v"))

@@ -2,10 +2,10 @@
 
 At the start of each frame the controller reads the pair of weights
 (secondary backlog, virtual power backlog) and picks two constant powers for
-the whole frame: one used in every primary-idle slot for its own traffic, one
-used in every primary-busy slot for cooperative transmission. Admission is a
-per-slot backlog threshold, ``admit``, which the engine applies. None of the
-decisions needs the arrival rates.
+the whole frame, read by the engine once per frame: one for every primary-idle
+slot's own traffic, one for cooperative transmission in every primary-busy
+slot. Admission is a per-slot backlog threshold, which the engine applies
+inline and ``admit`` states. No decision needs the arrival rates.
 
 The two powers come from a pair of one-dimensional problems over the finite
 power set:

@@ -1,16 +1,19 @@
-"""Slot-by-slot episode driver with frame detection and metric collection.
+"""Frame-scoped episode driver with frame detection and metric collection.
 
 An episode runs whole frames: each frame is an idle run of the primary queue
 followed by a busy run, and ends at the first slot where the queue is empty
 again. A policy has two hooks. ``begin_frame(q_su, x_su)`` runs at every
-frame boundary with the fresh (backlog, virtual backlog) weights.
-``choose_power(idle, u)`` runs exactly once per slot, and the power it
-returns is the power spent in that slot, whether or not the secondary queue
-has a packet to send. The engine owns admission: fbdpp admits a slot's
-arrivals while the backlog is at most v, every other policy admits them
-all. All randomness comes from one seeded generator consuming exactly five
-uniforms per slot, so a rerun with the same scenario and seed reproduces
-every number bit for bit.
+frame boundary with the fresh (backlog, virtual backlog) weights; fbdpp's
+``p0_star``/``p1_star`` are read there, once per frame. The other kinds'
+budget gates read the running spend, so their ``choose_power(idle, u)`` runs
+once per slot; the power it returns is spent in that slot whether or not the
+secondary queue has a packet to send. The engine does admission and both
+queue steps inline: fbdpp admits a slot's arrivals while the backlog is at
+most v, the others admit them all. ``step_pu_queue``, ``step_su_queue`` and
+``admit`` state the same slot helper by helper; the tests hold the engine to
+them. One seeded generator draws five uniforms per slot, 8192 slots at a
+time, each block turned once into every outcome a slot can need, so a rerun
+with the same scenario and seed reproduces every number bit for bit.
 
 Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
@@ -27,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy, StationaryRandomPolicy
-from .controller import FrameDriftPenaltyPolicy, admit
-from .model import ModelParams, step_pu_queue, step_su_queue, update_virtual_queue
+from .controller import FrameDriftPenaltyPolicy
+from .model import ModelParams, update_virtual_queue
 from .montecarlo import arrival_counts
 
 RNG_NAME = "pcg64"
@@ -220,85 +223,82 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     spec = scenario.policy
     lam_pu = par.lambda_pu
     policy = build_policy(spec, par)
+    choose = None if spec.kind == "fbdpp" else policy.choose_power
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     admit_cap = spec.v if spec.kind == "fbdpp" else math.inf
     q_bound = admit_cap + par.a_max
     max_slots = scenario.slot_cap
 
-    schedule = list(scenario.lambda_schedule)
-    sched_i = 0
+    switches = dict(scenario.lambda_schedule)   # frames completed -> new lambda_pu
 
     frame_rows: list[tuple] = []   # one _FRAME_ARRAYS row per completed frame
-    q_pu = 0
-    q_su = 0
-    x_su = 0.0
-    slot = 0
-    frame_start = 0
-    frames_done = 0
-    max_q = 0
-    seen_busy = False
+    q_pu = q_su = slot = frame_start = max_q = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
-    f_pi = f_pc = 0.0
+    x_su = f_pi = f_pc = 0.0
 
     bi = _BLOCK  # the first slot draws the first block
 
     policy.begin_frame(q_su, x_su)
-    while frames_done < scenario.horizon_frames and slot < max_slots:
+    p0, p1 = (policy.p0_star, policy.p1_star) if choose is None else (0.0, 0.0)
+    while slot < max_slots:
         if bi == _BLOCK:
             block = rng.random((_BLOCK, 5))
-            arrivals_block = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
+            arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
+            u1 = block[:, 1].tolist()
+            success = {p: (block[:, 2] < par.phi[p]).tolist() for p in par.power_set.levels}
+            service = {p: (block[:, 3] < par.mu_su[p]).tolist() for p in par.power_set.levels}
+            pu_arrival = (block[:, 4] < lam_pu).tolist()
+            srv, suc = service[p0], success[p1]
             bi = 0
-        row = block[bi]
-        idle = q_pu == 0
-
-        power = policy.choose_power(idle, row[1])
-        adm = admit(q_su, arrivals_block[bi], admit_cap)
-        if idle:
-            pu_success = False
-            offered = 1 if row[3] < par.mu_su_of(power) else 0
-            served = offered if q_su > 0 else 0
-        else:
-            pu_success = bool(row[2] < par.phi_of(power))
-            offered = 0
-            served = 0
-        a_pu = 1 if row[4] < lam_pu else 0
-        bi += 1
-
+        # admission and service both read the backlog at the start of the slot
+        adm = arrivals[bi] if q_su <= admit_cap else 0
         f_qsum += q_su
-        q_pu = step_pu_queue(q_pu, pu_success, a_pu)
-        q_su = step_su_queue(q_su, offered, adm)
+        idle = q_pu == 0
+        if idle:
+            if choose is not None:
+                p0 = choose(True, u1[bi])
+                srv = service[p0]
+            f_idle += 1
+            f_pi += p0
+            if q_su and srv[bi]:
+                q_su -= 1
+                f_srv += 1
+            q_pu = pu_arrival[bi]
+        else:
+            if choose is not None:
+                p1 = choose(False, u1[bi])
+                suc = success[p1]
+            f_pc += p1
+            q_pu += pu_arrival[bi] - suc[bi]    # busy: no clamp at zero needed
+        bi += 1
         slot += 1
+        q_su += adm
+        f_adm += adm
         if q_su > max_q:
             max_q = q_su
-        if q_su > q_bound:
-            raise RuntimeError(
-                "backlog bound violated: q_su=%d > admit cap + a_max=%g" % (q_su, q_bound)
-            )
+            if q_su > q_bound:
+                raise RuntimeError(
+                    "backlog bound violated: q_su=%d > admit cap + a_max=%g" % (q_su, q_bound)
+                )
 
-        f_adm += adm
-        f_srv += served
-        if idle:
-            f_idle += 1
-            f_pi += power
-        else:
-            f_pc += power
-            seen_busy = True
-
-        if seen_busy and q_pu == 0:
+        if not idle and q_pu == 0:      # the busy run just ended the frame
             f_len = slot - frame_start
             x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, par.p_avg)
             if not x_su >= 0.0:
                 raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
             frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
-            frames_done += 1
-            while sched_i < len(schedule) and frames_done >= schedule[sched_i][0]:
-                lam_pu = schedule[sched_i][1]
-                sched_i += 1
+            if len(frame_rows) in switches:
+                lam_pu = switches[len(frame_rows)]
+                pu_arrival = (block[:, 4] < lam_pu).tolist()
             frame_start = slot
             policy.begin_frame(q_su, x_su)
-            seen_busy = False
+            if choose is None:
+                p0, p1 = policy.p0_star, policy.p1_star
+                srv, suc = service[p0], success[p1]
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0
+            if len(frame_rows) == scenario.horizon_frames:
+                break
 
     columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
     arrays = {

@@ -302,6 +302,10 @@ def test_cli_adaptive(tmp_path, capsys):
     (["analyze"], {"v = 500": "v = abc"}),
     (["oracle", "--validate"], {"seed = 42": "seed = x1"}),
     (["run"], {"seed = 42": "seed = 42\nv_list = 10, abc"}),   # a key run never reads
+    (["sweep"], {"seed = 42": "seed = 42\nv_list = 10, -5"}),  # not only the first v
+    (["analyze"], {"seed = 42": "seed = 42\nv_list = 5, 0"}),
+    (["oracle"], {"policy = fbdpp": "policy = bogus"}),
+    (["analyze"], {"policy = fbdpp": "policy = bogus"}),
 ])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     text = BASE

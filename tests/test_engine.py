@@ -6,10 +6,16 @@ import pytest
 from coopsim import (
     ModelParams,
     PolicySpec,
+    PowerSet,
     Scenario,
+    admit,
+    arrival_counts,
+    build_policy,
     derive_seed,
     run_episode,
     steady_state,
+    step_pu_queue,
+    step_su_queue,
     sweep_v,
     update_virtual_queue,
 )
@@ -202,8 +208,9 @@ def test_sweep_worker_env_cap(monkeypatch):
     PolicySpec(kind="stationary", coop_prob=0.4, idle_tx_prob=0.7),
 ])
 def test_one_policy_call_per_slot(monkeypatch, spec):
-    # choose_power is the only per-slot policy call, and what it returns is
-    # what the slot spends
+    # an open-loop policy's choose_power is its only per-slot call, and what
+    # it returns is what the slot spends; fbdpp is never called per slot, and
+    # every slot of a frame spends the pair begin_frame set at its start
     import coopsim.engine as engine
 
     build_policy = engine.build_policy
@@ -211,24 +218,155 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
 
     def counting_policy(spec, params):
         policy = build_policy(spec, params)
-        choose = policy.choose_power
-        calls = [0]
+        choose, begin = policy.choose_power, policy.begin_frame
+        calls, pairs = [0], []
 
         def counted(idle, u):
             calls[0] += 1
             return choose(idle, u)
 
+        def recorded(q_su, x_su):
+            begin(q_su, x_su)
+            pairs.append((getattr(policy, "p0_star", None), getattr(policy, "p1_star", None)))
+
         policy.choose_power = counted
-        built.append((policy, calls))
+        policy.begin_frame = recorded
+        built.append((policy, calls, pairs))
         return policy
 
     monkeypatch.setattr(engine, "build_policy", counting_policy)
     m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=300, seed=9))
-    [(policy, calls)] = built
-    assert calls[0] == m.slots
-    if spec.kind != "fbdpp":     # the open-loop policies count their own spend
+    [(policy, calls, pairs)] = built
+    if spec.kind == "fbdpp":
+        assert calls[0] == 0
+        assert len(pairs) == m.frames + 1
+        assert len(set(pairs)) > 1          # the powers do change between frames
+        busy_len = m.frame_len - m.idle_len
+        for k, (p0, p1) in enumerate(pairs[:-1]):
+            assert m.power_idle[k] == m.idle_len[k] * p0
+            assert m.power_coop[k] == busy_len[k] * p1
+    else:
+        assert calls[0] == m.slots
         assert policy.slots == m.slots
         assert policy.spend == float(m.power_idle.sum() + m.power_coop.sum())
+
+
+FRAME_FIELDS = ("frame_len", "admitted", "served", "power_idle", "power_coop", "q_su_end",
+                "x_su_end", "idle_len", "q_sum")
+GRID = ModelParams(
+    lambda_pu=0.5, lambda_su=0.4, a_max=1,
+    phi={0.0: 0.6, 0.5: 0.72, 1.0: 0.8}, mu_su={0.0: 0.0, 0.5: 0.7, 1.0: 1.0},
+    p_avg=0.5, p_max=1.0, power_set=PowerSet.make_grid([0, 0.5, 1]),
+)
+A_MAX_3 = ModelParams.two_point(0.4, 1.2, 0.6, 0.8, 0.45, a_max=3)
+KINDS = (
+    PolicySpec(kind="fbdpp", v=40.0),
+    PolicySpec(kind="no_coop"),
+    PolicySpec(kind="always_coop"),
+    PolicySpec(kind="counter"),
+    PolicySpec(kind="stationary", coop_prob=0.3, idle_tx_prob=0.8),
+)
+
+
+def _reference_episode(scenario):
+    """The one-slot spec, stepped slot by slot with the model's helpers.
+
+    Five uniforms per slot, in blocks of 8192 rows, used as run_episode uses
+    them: arrivals, the policy's draw, primary success, secondary service,
+    primary arrival. One ``choose_power`` per slot for every kind.
+    """
+    par, spec = scenario.params, scenario.policy
+    policy = build_policy(spec, par)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
+    admit_cap = spec.v if spec.kind == "fbdpp" else np.inf
+    lam_pu = par.lambda_pu
+    switches = dict(scenario.lambda_schedule)
+    rows = []
+    q_pu = q_su = slot = frame_start = max_q = 0
+    x_su = 0.0
+    f_idle = f_adm = f_srv = f_qsum = 0
+    f_pi = f_pc = 0.0
+    seen_busy = False
+    bi = 8192
+    policy.begin_frame(q_su, x_su)
+    while len(rows) < scenario.horizon_frames and slot < scenario.slot_cap:
+        if bi == 8192:
+            block = rng.random((8192, 5))
+            arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su)
+            bi = 0
+        u = block[bi]
+        bi += 1
+        idle = q_pu == 0
+        power = policy.choose_power(idle, u[1])
+        adm = admit(q_su, int(arrivals[bi - 1]), admit_cap)
+        pu_success = not idle and bool(u[2] < par.phi_of(power))
+        offered = 1 if idle and u[3] < par.mu_su_of(power) else 0
+        served = offered if q_su > 0 else 0
+        f_qsum += q_su
+        q_pu = step_pu_queue(q_pu, pu_success, 1 if u[4] < lam_pu else 0)
+        q_su = step_su_queue(q_su, offered, adm)
+        slot += 1
+        max_q = max(max_q, q_su)
+        f_adm += adm
+        f_srv += served
+        if idle:
+            f_idle += 1
+            f_pi += power
+        else:
+            f_pc += power
+            seen_busy = True
+        if seen_busy and q_pu == 0:
+            x_su = update_virtual_queue(x_su, slot - frame_start, f_pi + f_pc, par.p_avg)
+            rows.append((slot - frame_start, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle,
+                         f_qsum))
+            lam_pu = switches.get(len(rows), lam_pu)
+            frame_start = slot
+            policy.begin_frame(q_su, x_su)
+            seen_busy = False
+            f_idle = f_adm = f_srv = f_qsum = 0
+            f_pi = f_pc = 0.0
+    columns = list(zip(*rows)) or [()] * 9
+    ints, floats = np.int64, np.float64
+    dtypes = (ints, ints, ints, floats, floats, ints, floats, ints, ints)
+    out = {name: np.asarray(col, dtype=dt)
+           for name, col, dt in zip(FRAME_FIELDS, columns, dtypes)}
+    out.update(max_q_su=max_q, partial_slots=slot - frame_start, partial_admitted=f_adm,
+               partial_served=f_srv, partial_power=f_pi + f_pc, partial_q_sum=f_qsum)
+    return out
+
+
+def _assert_same_metrics(m, ref):
+    for name in FRAME_FIELDS:
+        got = getattr(m, name)
+        assert got.dtype == ref[name].dtype, name
+        assert np.array_equal(got, ref[name]), name
+    for name in ("max_q_su", "partial_slots", "partial_admitted", "partial_served",
+                 "partial_power", "partial_q_sum"):
+        assert getattr(m, name) == ref[name], name
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("params", [REF, A_MAX_3, GRID], ids=["two_point", "a_max_3", "grid"])
+def test_kernel_matches_one_slot_spec(params, spec):
+    # the rate switches away and back, each in the middle of a uniform block
+    schedule = ((700, 0.3), (1500, params.lambda_pu))
+    sc = Scenario(params=params, policy=spec, horizon_frames=2000, seed=5,
+                  lambda_schedule=schedule)
+    ref = _reference_episode(sc)
+    assert ref["frame_len"].sum() > 8192             # crosses a block boundary
+    for frame_index, _ in schedule:
+        assert ref["frame_len"][:frame_index].sum() % 8192 != 0
+    _assert_same_metrics(run_episode(sc), ref)
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+def test_kernel_matches_one_slot_spec_quiet_primary(spec):
+    # lambda_pu = 0 never completes a frame; the slot cap ends the episode
+    quiet = ModelParams.two_point(0.0, 0.5, 0.6, 0.8, 0.5)
+    sc = Scenario(params=quiet, policy=spec, horizon_frames=10, seed=33, max_slots=20_000)
+    ref = _reference_episode(sc)
+    assert ref["partial_slots"] == 20_000
+    _assert_same_metrics(run_episode(sc), ref)
 
 
 def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
