@@ -70,6 +70,13 @@ def _policy(text: str) -> str:
     return kind
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _schedule(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(_pairs(text, int, float, "frame:rate"))
 
@@ -93,7 +100,7 @@ _KEYS = {
     "stationary_q": float,
     "stationary_p": float,
     "frames": int,
-    "seed": int,
+    "seed": _non_negative_int,
     "window": int,
     "lambda_schedule": _schedule,
     "max_slots": int,

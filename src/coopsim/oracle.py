@@ -14,7 +14,11 @@ transmission. ``optimal_two_point`` evaluates that closed form and
 double-checks it against a fine grid; ``optimal_at_q`` is the same closed
 form with q held fixed; ``grid_search`` is the independent brute-force
 oracle; ``simulate_stationary`` validates a policy by running the slotted
-chain.
+chain. Under fixed mixing the chain's two queues are Lindley recursions
+(Lindley, 1952) whose service draws do not depend on the state, so the
+simulator runs them as numpy passes over fixed-size blocks of uniforms:
+bounded memory at any horizon, and the same uniform stream and the same
+results as a slot-by-slot loop.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ import numpy as np
 
 from .model import ModelParams
 from .montecarlo import arrival_counts
+
+# rows of uniforms drawn at a time by simulate_stationary; 2 MiB per block
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,24 @@ def grid_search(
     return _policy_at(params, float(q[i]), float(p[j]))
 
 
+def _backlog_after_service(inflow: np.ndarray, service: np.ndarray, backlog: int) -> np.ndarray:
+    """Lindley recursion b(t) = max(b(t-1) + inflow(t) - service(t), 0), b(-1) = backlog.
+
+    The closed form is the walk S(t) = sum of inflow - service up to t, lifted
+    by the deepest point it has reached below -backlog.
+    """
+    walk = np.cumsum(inflow - service)
+    return walk - np.minimum(np.minimum.accumulate(walk), -backlog)
+
+
+def _delayed(values: np.ndarray, first: int) -> np.ndarray:
+    """``values`` one slot later, with ``first`` (carried from the last block) in slot 0."""
+    out = np.empty(len(values), dtype=np.int64)
+    out[0] = first
+    out[1:] = values[:-1]
+    return out
+
+
 def simulate_stationary(
     policy: StationaryPolicy, params: ModelParams, horizon_slots: int, seed: int
 ) -> StationarySimResult:
@@ -216,42 +241,52 @@ def simulate_stationary(
     Every arrival is admitted; the reported throughput is delivered
     packets/slot, which converges to min(lambda_su, pi_0 p mu_su) either way
     the cap falls. Power is charged as allocated, backlog or not.
+
+    Slot t reads four uniforms: secondary arrivals, the mixing coin (q when
+    busy, p when idle), the success coin and the primary arrival. Both queues
+    are Lindley recursions q(t+1) = max(q(t) - s(t), 0) + a(t) whose service
+    draws s do not depend on the state, so each runs as a cumulative sum and
+    a running minimum instead of a slot loop. The primary's service is drawn
+    in every slot, since max(0 - s, 0) = 0 in an idle one; the secondary is
+    served in idle slots only, and ``served`` is its arrivals less its final
+    backlog. The uniforms come in blocks of ``_CHUNK_ROWS`` rows, which is
+    the same stream as one horizon-by-4 draw, and each queue carries its
+    backlog and last arrival across blocks, so memory does not grow with the
+    horizon. Powered slots are charged p_max one at a time, in slot order,
+    so the float total equals a slot loop's bit for bit.
     """
     if horizon_slots < 1:
         raise ValueError("horizon must be at least one slot")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     P = params.p_max
-    u = rng.random((horizon_slots, 4))
-    arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su)
-    tx_idle = u[:, 1] < policy.idle_tx_prob
-    coop_busy = u[:, 1] < policy.coop_prob
-    pu_succ_coop = u[:, 2] < params.phi_c
-    pu_succ_nc = u[:, 2] < params.phi_nc
-    su_succ = u[:, 2] < params.mu_su_of(P)
-    a_pu = u[:, 3] < params.lambda_pu
-
-    q_pu = 0
-    q_su = 0
-    served = 0
-    idle_slots = 0
+    mu = params.mu_su_of(P)
+    pu_backlog = pu_last = su_backlog = su_last = 0
+    arrived = idle_slots = 0
     power_total = 0.0
-    for t in range(horizon_slots):
-        if q_pu == 0:
-            idle_slots += 1
-            if tx_idle[t]:
-                power_total += P
-                if q_su > 0 and su_succ[t]:
-                    served += 1
-                    q_su -= 1
-            q_pu = 1 if a_pu[t] else 0
-        else:
-            if coop_busy[t]:
-                power_total += P
-                success = pu_succ_coop[t]
-            else:
-                success = pu_succ_nc[t]
-            q_pu += (1 if a_pu[t] else 0) - (1 if success else 0)
-        q_su += int(arrivals[t])
+    for start in range(0, horizon_slots, _CHUNK_ROWS):
+        u = rng.random((min(_CHUNK_ROWS, horizon_slots - start), 4))
+        tx = u[:, 1] < policy.idle_tx_prob
+        coop = u[:, 1] < policy.coop_prob
+        pu_success = np.where(coop, u[:, 2] < params.phi_c, u[:, 2] < params.phi_nc)
+        pu_arrivals = u[:, 3] < params.lambda_pu
+        # an arrival in slot t is first served in slot t + 1
+        pu_inflow = _delayed(pu_arrivals, pu_last)
+        pu_after = _backlog_after_service(pu_inflow, pu_success, pu_backlog)
+        idle = _delayed(pu_after, pu_backlog) + pu_inflow == 0
+        su_success = idle & tx & (u[:, 2] < mu)
+        su_arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su)
+        su_after = _backlog_after_service(
+            _delayed(su_arrivals, su_last), su_success, su_backlog
+        )
+        pu_backlog, pu_last = int(pu_after[-1]), int(pu_arrivals[-1])
+        su_backlog, su_last = int(su_after[-1]), int(su_arrivals[-1])
+        arrived += int(su_arrivals.sum())
+        idle_slots += int(np.count_nonzero(idle))
+        powered = np.count_nonzero(np.where(idle, tx, coop))
+        charges = np.full(powered + 1, P)
+        charges[0] = power_total
+        power_total = float(np.cumsum(charges)[-1])
+    served = arrived - (su_backlog + su_last)
     return StationarySimResult(
         throughput=served / horizon_slots,
         avg_power=power_total / horizon_slots,

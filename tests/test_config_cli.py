@@ -306,6 +306,8 @@ def test_cli_adaptive(tmp_path, capsys):
     (["analyze"], {"seed = 42": "seed = 42\nv_list = 5, 0"}),
     (["oracle"], {"policy = fbdpp": "policy = bogus"}),
     (["analyze"], {"policy = fbdpp": "policy = bogus"}),
+    (["run", "--seed", "-1"], {}),
+    (["oracle", "--validate"], {"seed = 42": "seed = -1"}),
 ])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     text = BASE

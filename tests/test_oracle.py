@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coopsim import (
     ModelParams,
+    StationaryPolicy,
+    StationarySimResult,
     grid_search,
     optimal_at_q,
     optimal_two_point,
     simulate_stationary,
 )
+from coopsim import oracle
+from coopsim.model import step_pu_queue, step_su_queue
+from coopsim.montecarlo import arrival_counts
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
@@ -156,6 +163,96 @@ def test_simulation_silent_policy():
                            pi_0=0.3, power_used=0.0)
     sim = simulate_stationary(pol, REF, 20_000, seed=4)
     assert sim.throughput == 0.0
+
+
+def one_slot_spec(policy, params, horizons, seed):
+    """{horizon: result} of the chain run one slot at a time.
+
+    Slot t reads row t of one ``rng.random((T, 4))`` draw: secondary
+    arrivals, the mixing coin, the success coin, the primary arrival. The
+    draw for a shorter horizon is a prefix of the draw for a longer one, so
+    one pass to the longest horizon yields them all.
+    """
+    u = rng(seed).random((max(horizons), 4))
+    arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su).tolist()
+    P = params.p_max
+    mu, phi_c, phi_nc = params.mu_su_of(P), params.phi_c, params.phi_nc
+    q_pu = q_su = served = idle_slots = 0
+    power = 0.0
+    out = {}
+    for t, (_, u_mix, u_success, u_pu) in enumerate(u.tolist(), start=1):
+        if q_pu == 0:
+            idle_slots += 1
+            powered = u_mix < policy.idle_tx_prob
+            pu_success = False
+            su_success = powered and u_success < mu
+        else:
+            powered = u_mix < policy.coop_prob
+            pu_success = u_success < (phi_c if powered else phi_nc)
+            su_success = False
+        if powered:
+            power += P
+        delivered = 1 if su_success and q_su > 0 else 0
+        served += delivered
+        q_pu = step_pu_queue(q_pu, pu_success, 1 if u_pu < params.lambda_pu else 0)
+        q_su = step_su_queue(q_su, delivered, arrivals[t - 1])
+        if t in horizons:
+            out[t] = StationarySimResult(
+                throughput=served / t,
+                avg_power=power / t,
+                idle_fraction=idle_slots / t,
+                slots=t,
+            )
+    return out
+
+
+def spec_cases(n):
+    """Random two-point models and mixing pairs, corners included."""
+    g = rng(21)
+    for i in range(n):
+        a_max = 1 + i % 3
+        p_max = (0.7, 1.0, 0.3, 2.5)[i % 4]
+        phi_nc = float(g.uniform(0.2, 0.9))
+        phi_c = float(g.uniform(phi_nc, min(phi_nc + 0.5, 1.0)))
+        params = ModelParams.two_point(
+            lambda_pu=0.0 if i % 5 == 0 else float(g.uniform(0.02, phi_nc * 0.95)),
+            lambda_su=float(g.uniform(0.05, a_max)),
+            phi_nc=phi_nc,
+            phi_c=phi_c,
+            p_avg=float(g.uniform(0.05, 1.0)) * p_max,
+            p_max=p_max,
+            mu_su_max=float(g.uniform(0.3, 1.0)),
+            a_max=a_max,
+        )
+        q = (0.0, 1.0, float(g.uniform()))[i // 3 % 3]
+        p = (1.0, float(g.uniform()), 0.0)[i // 2 % 3]
+        policy = StationaryPolicy(coop_prob=q, idle_tx_prob=p, upsilon=0.0,
+                                  pi_0=0.0, power_used=0.0)
+        yield params, policy, 100 + i
+
+
+# A small block size puts many block boundaries within reach of the slow spec.
+@pytest.mark.parametrize("chunk, n_models", [(64, 24), (oracle._CHUNK_ROWS, 4)])
+def test_chain_matches_one_slot_spec(monkeypatch, chunk, n_models):
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+    C = chunk
+    horizons = {1, 2, C - 1, C, C + 1, 3 * C + 17}
+    for params, policy, seed in spec_cases(n_models):
+        spec = one_slot_spec(policy, params, horizons, seed)
+        for horizon in horizons:
+            assert simulate_stationary(policy, params, horizon, seed) == spec[horizon], (
+                params, policy, horizon)
+
+
+def test_chain_memory_does_not_grow_with_horizon():
+    policy = optimal_two_point(REF)
+    tracemalloc.start()
+    try:
+        simulate_stationary(policy, REF, 2_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_closed_form_requires_two_point():
