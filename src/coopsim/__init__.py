@@ -14,7 +14,6 @@ from .baselines import (
     AlwaysCoopPolicy,
     CounterPolicy,
     NoCoopPolicy,
-    StationaryRandomPolicy,
     budget_gate,
 )
 from .controller import (
@@ -22,7 +21,6 @@ from .controller import (
     FadingModel,
     FrameDriftPenaltyPolicy,
     MultiUserDecision,
-    SizeCapExceededError,
     admit,
     cooperation_threshold,
     solve_multiuser_frame,

@@ -1,13 +1,13 @@
-"""Comparison policies: never cooperate, always cooperate, counter-gated, stationary.
+"""Comparison policies: never cooperate, always cooperate, counter-gated.
 
-The first three act at either zero or peak power and enforce the average-power
+All three act at either zero or peak power and enforce the average-power
 budget with a running-average gate: act only while total spend so far divided
 by elapsed slots stays below the budget. They differ only in the spend they
 feed the gate. The always-cooperate policy additionally reserves the budget
 for cooperation: its idle-slot gate charges every busy slot seen so far at
 peak power, whether or not the gate was open then, so its own traffic only
-uses power that cooperation could never claim. The stationary policy ignores
-the budget and mixes peak power with a fixed probability per phase.
+uses power that cooperation could never claim. None of them draws randomness;
+the best stationary randomized policy lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class _OpenLoopPolicy:
 class NoCoopPolicy(_OpenLoopPolicy):
     """Idle-only transmission at peak power, budget-gated."""
 
-    def choose_power(self, idle: bool, u: float) -> float:
+    def choose_power(self, idle: bool) -> float:
         if not idle:
             return self._spent(0.0)
         return self._spent(
@@ -62,7 +62,7 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
         self.busy_slots_seen = 0
         self.idle_power_spent = 0.0
 
-    def choose_power(self, idle: bool, u: float) -> float:
+    def choose_power(self, idle: bool) -> float:
         p_avg, p_max = self.params.p_avg, self.params.p_max
         if not idle:
             self.busy_slots_seen += 1
@@ -76,20 +76,7 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
 class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
-    def choose_power(self, idle: bool, u: float) -> float:
+    def choose_power(self, idle: bool) -> float:
         return self._spent(
             budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
         )
-
-
-class StationaryRandomPolicy(_OpenLoopPolicy):
-    """Queue-blind mixing policy: peak power with fixed per-phase probability."""
-
-    def __init__(self, params: ModelParams, coop_prob: float, idle_tx_prob: float):
-        super().__init__(params)
-        self.coop_prob = coop_prob
-        self.idle_tx_prob = idle_tx_prob
-
-    def choose_power(self, idle: bool, u: float) -> float:
-        prob = self.idle_tx_prob if idle else self.coop_prob
-        return self._spent(self.params.p_max if u < prob else 0.0)

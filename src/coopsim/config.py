@@ -56,11 +56,16 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _positive(value: str | float) -> float:
+    """``float(value)``, refused unless above zero: ``v`` and each ``v_list`` entry."""
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"v must be positive, got {value:g}")
+    return value
+
+
 def _v_list(text: str) -> list[float]:
-    values = _float_list(text)
-    if not all(v > 0 for v in values):
-        raise ValueError("every v must be positive")
-    return values
+    return [_positive(v) for v in _float_list(text)]
 
 
 def _policy(text: str) -> str:
@@ -95,10 +100,8 @@ _KEYS = {
     "p_max": float,
     "power_levels": _float_list,
     "policy": _policy,
-    "v": float,
+    "v": _positive,
     "v_list": _v_list,
-    "stationary_q": float,
-    "stationary_p": float,
     "frames": int,
     "seed": _non_negative_int,
     "window": int,
@@ -214,12 +217,6 @@ class RunConfig:
         try:
             if kind == "fbdpp":
                 return PolicySpec(kind="fbdpp", v=self.get("v"))
-            if kind == "stationary":
-                return PolicySpec(
-                    kind="stationary",
-                    coop_prob=self.get("stationary_q"),
-                    idle_tx_prob=self.get("stationary_p"),
-                )
             return PolicySpec(kind=kind)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -27,6 +27,9 @@ from typing import Mapping, Sequence
 
 from .model import ModelParams
 
+# largest power-vector count solve_p1_fading searches exhaustively
+_FADING_SIZE_CAP = 65536
+
 
 @dataclass(frozen=True)
 class FadeState:
@@ -52,10 +55,6 @@ class FadingModel:
         total = sum(s.prob for s in self.states)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("fade state probabilities must sum to 1")
-
-
-class SizeCapExceededError(RuntimeError):
-    """Search space too large and the iterative fallback is disabled."""
 
 
 def admit(q_su_now: int, arrivals_now: int, v: float) -> int:
@@ -160,15 +159,13 @@ def solve_p1_fading(
     x_su_frame: float,
     fading: FadingModel,
     params: ModelParams,
-    size_cap: int = 65536,
-    coordinate_descent: bool = True,
 ) -> dict[str, float]:
     """Pick one cooperation power per fade state.
 
     Minimizes (theta + x * E[P]) / E[phi_s(P_s)] over deterministic per-state
-    powers. Exhaustive when |power set| ** |states| fits under ``size_cap``;
-    otherwise coordinate descent from the all-zero vector (or an error when
-    disabled). Ties resolve to the lexicographically smallest power vector,
+    powers. Exhaustive when |power set| ** |states| is at most
+    ``_FADING_SIZE_CAP``; otherwise coordinate descent from the all-zero
+    vector. Ties resolve to the lexicographically smallest power vector,
     extending the lower-power rule.
     """
     levels = params.power_set.levels
@@ -182,7 +179,7 @@ def solve_p1_fading(
             raise ValueError("expected success probability must be positive")
         return num / den
 
-    if len(levels) ** n_states <= size_cap:
+    if len(levels) ** n_states <= _FADING_SIZE_CAP:
         best_vec, best_val = None, None
         for vec in itertools.product(levels, repeat=n_states):
             val = objective(vec)
@@ -190,10 +187,6 @@ def solve_p1_fading(
                 best_vec, best_val = vec, val
         return {s.fade_id: p for s, p in zip(fading.states, best_vec)}
 
-    if not coordinate_descent:
-        raise SizeCapExceededError(
-            "search space %d^%d exceeds cap %d" % (len(levels), n_states, size_cap)
-        )
     vec = [0.0] * n_states
     current = objective(vec)
     improved = True
@@ -230,5 +223,5 @@ class FrameDriftPenaltyPolicy:
         self.p0_star, theta = solve_p0(q_su, x_su, self.params)
         self.p1_star = solve_p1(theta, x_su, self.params)
 
-    def choose_power(self, idle: bool, u: float) -> float:
+    def choose_power(self, idle: bool) -> float:
         return self.p0_star if idle else self.p1_star

@@ -4,16 +4,18 @@ An episode runs whole frames: each frame is an idle run of the primary queue
 followed by a busy run, and ends at the first slot where the queue is empty
 again. A policy has two hooks. ``begin_frame(q_su, x_su)`` runs at every
 frame boundary with the fresh (backlog, virtual backlog) weights; fbdpp's
-``p0_star``/``p1_star`` are read there, once per frame. The other kinds'
-budget gates read the running spend, so their ``choose_power(idle, u)`` runs
-once per slot; the power it returns is spent in that slot whether or not the
-secondary queue has a packet to send. The engine does admission and both
-queue steps inline: fbdpp admits a slot's arrivals while the backlog is at
-most v, the others admit them all. ``step_pu_queue``, ``step_su_queue`` and
-``admit`` state the same slot helper by helper; the tests hold the engine to
-them. One seeded generator draws five uniforms per slot, 8192 slots at a
-time, each block turned once into every outcome a slot can need, so a rerun
-with the same scenario and seed reproduces every number bit for bit.
+``p0_star``/``p1_star`` are read there, once per frame. The open-loop kinds
+(``no_coop``, ``always_coop``, ``counter``) gate on the running spend, so
+their ``choose_power(idle)`` runs once per slot; the power it returns is
+spent in that slot whether or not the secondary queue has a packet to send.
+No policy draws randomness. The engine does admission and both queue steps
+inline: fbdpp admits a slot's arrivals while the backlog is at most v, the
+others admit them all. ``step_pu_queue``, ``step_su_queue`` and ``admit``
+state the same slot helper by helper; the tests hold the engine to them. One
+seeded generator draws five uniforms per slot, 8192 slots at a time, each
+block turned once into every outcome a slot can need, so a rerun with the
+same scenario and seed reproduces every number bit for bit. The best
+stationary randomized policy is simulated by ``oracle.simulate_stationary``.
 
 Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
@@ -29,13 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy, StationaryRandomPolicy
+from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy
 from .controller import FrameDriftPenaltyPolicy
 from .model import ModelParams, update_virtual_queue
 from .montecarlo import arrival_counts
 
 RNG_NAME = "pcg64"
-POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter", "stationary")
+POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter")
 _BLOCK = 8192
 # RunMetrics' per-frame arrays, in the order run_episode records a frame.
 _FRAME_ARRAYS = (
@@ -51,25 +53,16 @@ class PolicySpec:
 
     kind: str
     v: float | None = None              # fbdpp only
-    coop_prob: float | None = None      # stationary only
-    idle_tx_prob: float | None = None   # stationary only
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "fbdpp" and (self.v is None or self.v <= 0):
             raise ValueError("fbdpp needs a positive v")
-        if self.kind == "stationary":
-            for name, val in (("coop_prob", self.coop_prob),
-                              ("idle_tx_prob", self.idle_tx_prob)):
-                if val is None or not 0.0 <= val <= 1.0:
-                    raise ValueError(f"stationary needs {name} in [0, 1]")
 
     def label(self) -> str:
         if self.kind == "fbdpp":
             return f"fbdpp(v={self.v:g})"
-        if self.kind == "stationary":
-            return f"stationary(q={self.coop_prob:g},p={self.idle_tx_prob:g})"
         return self.kind
 
 
@@ -122,9 +115,7 @@ def build_policy(spec: PolicySpec, params: ModelParams):
         return NoCoopPolicy(params)
     if spec.kind == "always_coop":
         return AlwaysCoopPolicy(params)
-    if spec.kind == "counter":
-        return CounterPolicy(params)
-    return StationaryRandomPolicy(params, spec.coop_prob, spec.idle_tx_prob)
+    return CounterPolicy(params)
 
 
 @dataclass
@@ -242,9 +233,9 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     p0, p1 = (policy.p0_star, policy.p1_star) if choose is None else (0.0, 0.0)
     while slot < max_slots:
         if bi == _BLOCK:
+            # column 1 is drawn and never read, so each seed keeps its stream
             block = rng.random((_BLOCK, 5))
             arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
-            u1 = block[:, 1].tolist()
             success = {p: (block[:, 2] < par.phi[p]).tolist() for p in par.power_set.levels}
             service = {p: (block[:, 3] < par.mu_su[p]).tolist() for p in par.power_set.levels}
             pu_arrival = (block[:, 4] < lam_pu).tolist()
@@ -256,7 +247,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         idle = q_pu == 0
         if idle:
             if choose is not None:
-                p0 = choose(True, u1[bi])
+                p0 = choose(True)
                 srv = service[p0]
             f_idle += 1
             f_pi += p0
@@ -266,7 +257,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             q_pu = pu_arrival[bi]
         else:
             if choose is not None:
-                p1 = choose(False, u1[bi])
+                p1 = choose(False)
                 suc = success[p1]
             f_pc += p1
             q_pu += pu_arrival[bi] - suc[bi]    # busy: no clamp at zero needed

@@ -16,6 +16,9 @@ from math import comb
 
 import numpy as np
 
+# slots of walk drawn at a time by sample_busy_periods; part of the uniform stream
+_CHUNK_SLOTS = 1 << 21
+
 
 def binomial_cdf(n: int, p: float) -> np.ndarray:
     """CDF table of Binomial(n, p), for inverse-transform sampling."""
@@ -40,7 +43,6 @@ def sample_busy_periods(
     success_prob: float,
     n_periods: int,
     rng: np.random.Generator,
-    chunk: int = 1 << 21,
 ) -> np.ndarray:
     """Draw busy-run lengths for a fixed per-busy-slot success probability.
 
@@ -55,8 +57,8 @@ def sample_busy_periods(
     slots_before = 0
     walk_carry = 0
     while found < n_periods:
-        dep = rng.random(chunk) < success_prob
-        arr = rng.random(chunk) < lambda_pu
+        dep = rng.random(_CHUNK_SLOTS) < success_prob
+        arr = rng.random(_CHUNK_SLOTS) < lambda_pu
         walk = np.cumsum(dep.astype(np.int64) - arr.astype(np.int64)) + walk_carry
         running_max = np.maximum.accumulate(walk)
         reachable = min(n_periods, int(running_max[-1]))
@@ -65,7 +67,7 @@ def sample_busy_periods(
             idx = np.searchsorted(running_max, levels, side="left")
             ends[found:reachable] = idx + slots_before
             found = reachable
-        slots_before += chunk
+        slots_before += _CHUNK_SLOTS
         walk_carry = int(walk[-1])
     return np.diff(ends, prepend=-1)
 

@@ -19,8 +19,8 @@ def test_counter_state_average():
     pol = CounterPolicy(REF)
     assert pol.spend == 0.0 and pol.slots == 0
     assert budget_gate(0.0, 0, 1e-12, 1.0) == 1.0     # no slots yet: average 0
-    assert pol.choose_power(True, 0.0) == 1.0          # spends 1 in slot 1
-    assert pol.choose_power(False, 0.0) == 0.0         # average 1: gate shut
+    assert pol.choose_power(True) == 1.0          # spends 1 in slot 1
+    assert pol.choose_power(False) == 0.0         # average 1: gate shut
     assert pol.slots == 2 and pol.spend == 1.0
     # average 0.5: the gate shuts at a budget of 0.5 and opens just above it
     assert budget_gate(pol.spend, pol.slots, 0.5, 1.0) == 0.0
@@ -29,35 +29,35 @@ def test_counter_state_average():
 
 def test_no_coop_decide():
     pol = NoCoopPolicy(REF)
-    assert pol.choose_power(False, 0.0) == 0.0
-    assert pol.choose_power(True, 0.0) == 1.0
+    assert pol.choose_power(False) == 0.0
+    assert pol.choose_power(True) == 1.0
     pol.spend, pol.slots = 60.0, 100
-    assert pol.choose_power(True, 0.0) == 0.0
+    assert pol.choose_power(True) == 0.0
 
 
 def test_counter_decide():
     pol = CounterPolicy(REF)
-    assert pol.choose_power(True, 0.0) == 1.0
+    assert pol.choose_power(True) == 1.0
     # the first call spent peak power; a fresh policy sees the empty history
-    assert CounterPolicy(REF).choose_power(False, 0.0) == 1.0
+    assert CounterPolicy(REF).choose_power(False) == 1.0
     assert budget_gate(0.0, 0, 0.0, 1.0) == 0.0   # p_avg = 0
     pol.spend, pol.slots = 51.0, 100
-    assert pol.choose_power(False, 0.0) == 0.0
+    assert pol.choose_power(False) == 0.0
 
 
 def test_always_coop_decide_priorities():
     fresh = AlwaysCoopPolicy(REF)
-    assert fresh.choose_power(False, 0.0) == 1.0
+    assert fresh.choose_power(False) == 1.0
     # busy history reserves the budget: idle transmission blocked
     pol = AlwaysCoopPolicy(REF)
     pol.spend, pol.slots, pol.busy_slots_seen = 30.0, 100, 60
-    assert pol.choose_power(True, 0.0) == 0.0
-    assert pol.choose_power(False, 0.0) == 1.0
+    assert pol.choose_power(True) == 0.0
+    assert pol.choose_power(False) == 1.0
     # slack budget: everything at peak power
     slack = AlwaysCoopPolicy(ModelParams.two_point(0.5, 0.5, 0.6, 0.8, p_avg=1.0))
     slack.spend, slack.slots = 30.0, 100
     slack.busy_slots_seen, slack.idle_power_spent = 20, 10.0
-    assert slack.choose_power(True, 0.0) == 1.0
+    assert slack.choose_power(True) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["no_coop", "always_coop", "counter"])

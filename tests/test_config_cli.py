@@ -9,7 +9,7 @@ import pytest
 from coopsim import config
 from coopsim.cli import build_parser, main, read_frames_csv, write_sweep_csv
 from coopsim.config import ConfigError, RunConfig
-from coopsim.engine import PolicySpec, run_episode, sweep_v
+from coopsim.engine import POLICY_KINDS, PolicySpec, run_episode, sweep_v
 from coopsim.oracle import optimal_two_point, simulate_stationary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -308,6 +308,10 @@ def test_cli_adaptive(tmp_path, capsys):
     (["analyze"], {"policy = fbdpp": "policy = bogus"}),
     (["run", "--seed", "-1"], {}),
     (["oracle", "--validate"], {"seed = 42": "seed = -1"}),
+    (["analyze"], {"v = 500": "v = 0"}),
+    (["baselines", "--frames", "10"], {"policy = fbdpp": "policy = counter", "v = 500": "v = -1"}),
+    (["run"], {"policy = fbdpp": "policy = stationary"}),
+    (["run"], {"seed = 42": "seed = 42\nstationary_q = 0.3"}),
 ])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     text = BASE
@@ -315,7 +319,9 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
         text = text.replace(old, new)
     cfg = write_config(tmp_path, text + f"\nout_dir = {tmp_path}/out\n")
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
-    assert capsys.readouterr().err.startswith("config error:")
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:")
+    assert out == ""                            # nothing printed before the refusal
     assert not (tmp_path / "out").exists()      # refused before anything is written
 
 
@@ -423,6 +429,8 @@ def test_readme_tables_match_the_code():
     documented_keys = {key for row in _readme_table("### Config keys")
                        for key in re.findall(r"`(\w+)`", row[0])}
     assert documented_keys == set(config._KEYS)
+    [policy_row] = [row for row in _readme_table("### Config keys") if row[0] == "`policy`"]
+    assert tuple(re.findall(r"`(\w+)`", policy_row[1])) == POLICY_KINDS
     documented_flags = {row[0].strip("`"): set(re.findall(r"`(--[\w-]+)`", row[1]))
                         for row in _readme_table("### Flags")}
     assert documented_flags == _parser_flags()

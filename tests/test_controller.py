@@ -9,7 +9,6 @@ from coopsim import (
     FrameDriftPenaltyPolicy,
     ModelParams,
     PowerSet,
-    SizeCapExceededError,
     admit,
     cooperation_threshold,
     solve_multiuser_frame,
@@ -128,10 +127,10 @@ def test_threshold_rule_equals_direct_argmin():
 def test_frame_power_dispatch():
     pol = FrameDriftPenaltyPolicy(REF)
     pol.p0_star, pol.p1_star = 1.0, 0.0
-    assert pol.choose_power(True, 0.5) == 1.0
-    assert pol.choose_power(False, 0.5) == 0.0
+    assert pol.choose_power(True) == 1.0
+    assert pol.choose_power(False) == 0.0
     pol.p0_star, pol.p1_star = 0.0, 1.0
-    assert pol.choose_power(False, 0.5) == 1.0
+    assert pol.choose_power(False) == 1.0
 
 
 def test_scaling_invariance():
@@ -258,17 +257,18 @@ def test_fading_matches_exhaustive_search():
         assert out == {"deep": best_vec[0], "clear": best_vec[1]}
 
 
-def test_fading_size_cap_and_descent():
+def test_fading_size_cap_and_descent(monkeypatch):
+    import coopsim.controller as controller
+
+    monkeypatch.setattr(controller, "_FADING_SIZE_CAP", 100)   # 4^8 states: descent
     g = rng(9)
     par = random_params(g, n_levels=4)
     states = tuple(
         FadeState(f"s{i}", 0.125, dict(par.phi)) for i in range(8)
     )
     fading = FadingModel(states=states)
-    with pytest.raises(SizeCapExceededError):
-        solve_p1_fading(3.0, 1.0, fading, par, size_cap=100, coordinate_descent=False)
     # identical states: descent must agree with the single-state answer
-    out = solve_p1_fading(3.0, 1.0, fading, par, size_cap=100)
+    out = solve_p1_fading(3.0, 1.0, fading, par)
     want = solve_p1(3.0, 1.0, par)
     assert all(v == want for v in out.values())
 
@@ -290,5 +290,5 @@ def test_policy_queue_bound_and_frame_constancy():
     pol = FrameDriftPenaltyPolicy(REF)
     pol.begin_frame(40, 3.0)
     for _ in range(5):
-        assert pol.choose_power(True, 0.3) == pol.p0_star
-        assert pol.choose_power(False, 0.9) == pol.p1_star
+        assert pol.choose_power(True) == pol.p0_star
+        assert pol.choose_power(False) == pol.p1_star

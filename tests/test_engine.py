@@ -13,7 +13,6 @@ from coopsim import (
     build_policy,
     derive_seed,
     run_episode,
-    steady_state,
     step_pu_queue,
     step_su_queue,
     sweep_v,
@@ -92,16 +91,6 @@ def test_small_v_power_within_budget_at_horizon():
                       horizon_frames=1000, seed=9)
         m = run_episode(sc)
         assert m.avg_power <= REF.p_avg + 0.01
-
-
-def test_stationary_policy_episode_matches_chain():
-    spec = PolicySpec(kind="stationary", coop_prob=1 / 3, idle_tx_prob=1.0)
-    sc = Scenario(params=REF, policy=spec, horizon_frames=20_000, seed=21)
-    m = run_episode(sc)
-    sol = steady_state(0.5, 0.6 + 0.2 / 3)
-    idle_frac = m.idle_len.sum() / m.slots
-    assert idle_frac == pytest.approx(sol.pi_0, abs=0.01)
-    assert m.throughput_served == pytest.approx(0.25, abs=0.01)
 
 
 def test_degenerate_quiet_primary():
@@ -205,7 +194,6 @@ def test_sweep_worker_env_cap(monkeypatch):
     PolicySpec(kind="no_coop"),
     PolicySpec(kind="always_coop"),
     PolicySpec(kind="counter"),
-    PolicySpec(kind="stationary", coop_prob=0.4, idle_tx_prob=0.7),
 ])
 def test_one_policy_call_per_slot(monkeypatch, spec):
     # an open-loop policy's choose_power is its only per-slot call, and what
@@ -221,9 +209,9 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
         choose, begin = policy.choose_power, policy.begin_frame
         calls, pairs = [0], []
 
-        def counted(idle, u):
+        def counted(idle):
             calls[0] += 1
-            return choose(idle, u)
+            return choose(idle)
 
         def recorded(q_su, x_su):
             begin(q_su, x_su)
@@ -264,7 +252,6 @@ KINDS = (
     PolicySpec(kind="no_coop"),
     PolicySpec(kind="always_coop"),
     PolicySpec(kind="counter"),
-    PolicySpec(kind="stationary", coop_prob=0.3, idle_tx_prob=0.8),
 )
 
 
@@ -272,8 +259,9 @@ def _reference_episode(scenario):
     """The one-slot spec, stepped slot by slot with the model's helpers.
 
     Five uniforms per slot, in blocks of 8192 rows, used as run_episode uses
-    them: arrivals, the policy's draw, primary success, secondary service,
-    primary arrival. One ``choose_power`` per slot for every kind.
+    them: arrivals, primary success, secondary service, primary arrival.
+    Column 1 is drawn but not read. One ``choose_power`` per slot for every
+    kind.
     """
     par, spec = scenario.params, scenario.policy
     policy = build_policy(spec, par)
@@ -297,7 +285,7 @@ def _reference_episode(scenario):
         u = block[bi]
         bi += 1
         idle = q_pu == 0
-        power = policy.choose_power(idle, u[1])
+        power = policy.choose_power(idle)
         adm = admit(q_su, int(arrivals[bi - 1]), admit_cap)
         pu_success = not idle and bool(u[2] < par.phi_of(power))
         offered = 1 if idle and u[3] < par.mu_su_of(power) else 0
