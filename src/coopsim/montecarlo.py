@@ -7,7 +7,9 @@ one packet ends at the first slot where cumulative departures exceed
 cumulative arrivals by one, so consecutive busy runs are the successive
 first-passage times of the walk sum(success - arrival) to levels 1, 2, 3...
 That observation lets millions of runs be drawn with a handful of numpy
-passes instead of a slot loop.
+passes instead of a slot loop. The walk is drawn in fixed chunks, which fix
+the uniform stream, and run in smaller sub-blocks, which bound the memory:
+about 2 MiB plus 8 bytes per sampled run, at any sample count.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from math import comb
 
 import numpy as np
 
-# slots of walk drawn at a time by sample_busy_periods; part of the uniform stream
+# slots of walk per chunk of sample_busy_periods; part of the uniform stream
 _CHUNK_SLOTS = 1 << 21
+# uniforms drawn, and walk slots run, per numpy pass within a chunk; not part
+# of the stream, only of the memory bound
+_SUB_SLOTS = 1 << 16
 
 
 def binomial_cdf(n: int, p: float) -> np.ndarray:
@@ -38,6 +43,11 @@ def arrival_counts(u: np.ndarray, a_max: int, lambda_su: float) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
+def _check_count(n: int, name: str) -> None:
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n}")
+
+
 def sample_busy_periods(
     lambda_pu: float,
     success_prob: float,
@@ -49,26 +59,47 @@ def sample_busy_periods(
     Walk increments are (departure - arrival) per slot; the walk's running
     maximum increases by at most one per slot, so the first index where the
     running maximum reaches level j is exactly where busy run j ends.
+
+    The uniform stream is a sequence of whole chunks of ``_CHUNK_SLOTS``
+    slots: all of a chunk's success uniforms, then all of its arrival
+    uniforms. They are drawn ``_SUB_SLOTS`` at a time into one reused
+    buffer; the successes are kept as one bool per slot, and the walk runs
+    one arrival sub-block at a time, carrying its value, until ``n_periods``
+    ends are found. The rest of the chunk is still drawn, so the generator
+    ends where a whole-chunk draw leaves it. Memory is about 2 MiB plus
+    8 bytes per period, however long the walk.
     """
+    _check_count(n_periods, "n_periods")
     if not 0.0 <= lambda_pu < success_prob <= 1.0:
         raise ValueError("need 0 <= lambda_pu < success_prob <= 1")
     ends = np.empty(n_periods, dtype=np.int64)
     found = 0
-    slots_before = 0
+    chunk_start = 0
     walk_carry = 0
+    blocks = [(lo, min(lo + _SUB_SLOTS, _CHUNK_SLOTS)) for lo in range(0, _CHUNK_SLOTS, _SUB_SLOTS)]
+    u = np.empty(min(_SUB_SLOTS, _CHUNK_SLOTS))
+    dep = np.empty(_CHUNK_SLOTS, dtype=bool)
     while found < n_periods:
-        dep = rng.random(_CHUNK_SLOTS) < success_prob
-        arr = rng.random(_CHUNK_SLOTS) < lambda_pu
-        walk = np.cumsum(dep.astype(np.int64) - arr.astype(np.int64)) + walk_carry
-        running_max = np.maximum.accumulate(walk)
-        reachable = min(n_periods, int(running_max[-1]))
-        if reachable > found:
-            levels = np.arange(found + 1, reachable + 1, dtype=np.int64)
-            idx = np.searchsorted(running_max, levels, side="left")
-            ends[found:reachable] = idx + slots_before
-            found = reachable
-        slots_before += _CHUNK_SLOTS
-        walk_carry = int(walk[-1])
+        for lo, hi in blocks:
+            np.less(rng.random(out=u[: hi - lo]), success_prob, out=dep[lo:hi])
+        for lo, hi in blocks:
+            arr = rng.random(out=u[: hi - lo]) < lambda_pu
+            if found == n_periods:
+                continue
+            walk = np.cumsum(np.subtract(dep[lo:hi], arr, dtype=np.int64))
+            walk += walk_carry
+            # Levels above `found` lie above every earlier walk value, so the
+            # sub-block's own running maximum reaches each one first where
+            # the walk does.
+            running_max = np.maximum.accumulate(walk)
+            reachable = min(n_periods, int(running_max[-1]))
+            if reachable > found:
+                levels = np.arange(found + 1, reachable + 1, dtype=np.int64)
+                idx = np.searchsorted(running_max, levels, side="left")
+                ends[found:reachable] = idx + (chunk_start + lo)
+                found = reachable
+            walk_carry = int(walk[-1])
+        chunk_start += _CHUNK_SLOTS
     return np.diff(ends, prepend=-1)
 
 
@@ -76,9 +107,10 @@ def sample_idle_periods(
     lambda_pu: float, n_periods: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw idle-run lengths: geometric on {1, 2, ...} with mean 1/lambda_pu."""
+    _check_count(n_periods, "n_periods")
     if not 0.0 < lambda_pu < 1.0:
         raise ValueError("lambda_pu must lie in (0, 1) for finite idle runs")
-    return rng.geometric(lambda_pu, size=n_periods).astype(np.int64)
+    return rng.geometric(lambda_pu, size=n_periods)
 
 
 def sample_frames(
@@ -88,6 +120,7 @@ def sample_frames(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw frame lengths (independent idle run + busy run)."""
+    _check_count(n_frames, "n_frames")
     idle = sample_idle_periods(lambda_pu, n_frames, rng)
     busy = sample_busy_periods(lambda_pu, success_prob, n_frames, rng)
     return idle + busy
@@ -95,6 +128,8 @@ def sample_frames(
 
 def batch_mean_stderr(samples: np.ndarray, n_batches: int = 50) -> tuple[float, float]:
     """Mean and a batch-means standard error, robust to within-batch noise."""
+    if n_batches < 2:
+        raise ValueError("a batch-means standard error needs at least 2 batches")
     usable = (len(samples) // n_batches) * n_batches
     if usable == 0:
         raise ValueError("too few samples for the requested batch count")

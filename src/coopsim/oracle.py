@@ -32,6 +32,8 @@ from .montecarlo import arrival_counts
 
 # rows of uniforms drawn at a time by simulate_stationary; 2 MiB per block
 _CHUNK_ROWS = 1 << 16
+# q rows scanned at a time by grid_search; 0.5 MiB per array at step 1e-3
+_GRID_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,11 @@ def grid_search(
     point. ``q_fixed`` restricts the scan to one cooperation level. Raises
     ValueError when ``q_fixed`` is outside [0, 1] or no grid point meets the
     budget.
+
+    The grid is scanned ``_GRID_ROWS`` q rows at a time, so memory does not
+    grow with 1/step^2. Within a block ``argmax`` keeps the first maximum in
+    scan order, and a later block replaces the best point only when strictly
+    better, which is the same tie rule over the whole grid.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
@@ -206,13 +213,18 @@ def grid_search(
     p = np.arange(0.0, 1.0 + step / 2, step)
     p[-1] = min(p[-1], 1.0)
     pi_0, coop = _occupancy(params, q)
-    power = coop[:, None] + pi_0[:, None] * p[None, :] * P
-    ups = np.minimum(params.lambda_su, m * pi_0[:, None] * p[None, :])
-    ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
-    if ups[i, j] == -np.inf:
+    best, best_q, best_p = -np.inf, 0.0, 0.0
+    for lo in range(0, len(q), _GRID_ROWS):
+        rows = slice(lo, lo + _GRID_ROWS)
+        power = coop[rows, None] + pi_0[rows, None] * p[None, :] * P
+        ups = np.minimum(params.lambda_su, m * pi_0[rows, None] * p[None, :])
+        ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
+        if ups[i, j] > best:
+            best, best_q, best_p = ups[i, j], q[lo + i], p[j]
+    if best == -np.inf:
         raise ValueError(f"no grid point meets p_avg={params.p_avg:g}")
-    return _policy_at(params, float(q[i]), float(p[j]))
+    return _policy_at(params, float(best_q), float(best_p))
 
 
 def _backlog_after_service(inflow: np.ndarray, service: np.ndarray, backlog: int) -> np.ndarray:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from coopsim import montecarlo
 from coopsim import (
     ModelParams,
     UnstableChainError,
@@ -174,3 +177,79 @@ def test_throughput_lower_bound_values():
     # algebraic identity: v chosen to halve the optimum
     v_half = 2 * (dc.b_const + dc.c_const) / (0.25 * dc.t_min)
     assert throughput_lower_bound(v_half, 0.25, dc) == pytest.approx(0.125)
+
+
+def whole_chunk_busy_periods(lambda_pu, success_prob, n_periods, g):
+    """Busy-run lengths with each chunk's walk built in one numpy pass.
+
+    The reference for ``sample_busy_periods``: per chunk of
+    ``montecarlo._CHUNK_SLOTS`` slots, all its success uniforms, then all its
+    arrival uniforms, and the chunk drawn whole once started.
+    """
+    chunk = montecarlo._CHUNK_SLOTS
+    ends = np.empty(n_periods, dtype=np.int64)
+    found = slots_before = walk_carry = 0
+    while found < n_periods:
+        dep = g.random(chunk) < success_prob
+        arr = g.random(chunk) < lambda_pu
+        walk = np.cumsum(dep.astype(np.int64) - arr.astype(np.int64)) + walk_carry
+        running_max = np.maximum.accumulate(walk)
+        reachable = min(n_periods, int(running_max[-1]))
+        if reachable > found:
+            levels = np.arange(found + 1, reachable + 1, dtype=np.int64)
+            ends[found:reachable] = np.searchsorted(running_max, levels) + slots_before
+            found = reachable
+        slots_before += chunk
+        walk_carry = int(walk[-1])
+    return np.diff(ends, prepend=-1)
+
+
+# Small chunks put many chunk and sub-block boundaries within a few hundred
+# periods; sub-blocks that do not divide the chunk, or exceed it, included.
+@pytest.mark.parametrize("chunk, sub, sizes", [
+    (256, 64, (0, 1, 7, 40, 300)),
+    (256, 100, (0, 1, 7, 40, 300)),
+    (256, 512, (0, 1, 7, 40, 300)),
+    (montecarlo._CHUNK_SLOTS, montecarlo._SUB_SLOTS, (0, 1, 300_000)),
+])
+def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
+    monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", chunk)
+    monkeypatch.setattr(montecarlo, "_SUB_SLOTS", sub)
+    for lam, mu in ((0.5, 0.6), (0.5, 0.8), (0.0, 0.4), (0.3, 1.0)):
+        for n in sizes:
+            got_rng, want_rng = rng(n), rng(n)
+            got = sample_busy_periods(lam, mu, n, got_rng)
+            want = whole_chunk_busy_periods(lam, mu, n, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (lam, mu, n)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (lam, mu, n)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n, g: sample_busy_periods(0.5, 0.6, n, g),
+    lambda n, g: sample_idle_periods(0.5, n, g),
+    lambda n, g: sample_frames(0.5, 0.6, n, g),
+], ids=["busy", "idle", "frames"])
+def test_samplers_refuse_negative_counts_and_draw_nothing_for_zero(draw):
+    g = rng(5)
+    state = g.bit_generator.state
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(-1, g)
+    empty = draw(0, g)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert g.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n_batches", [0, 1])
+def test_batch_mean_stderr_needs_two_batches(n_batches):
+    with pytest.raises(ValueError, match="at least 2 batches"):
+        batch_mean_stderr(np.arange(100.0), n_batches)
+
+
+def test_frame_sampler_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        sample_frames(0.5, 0.6, 200_000, rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import filecmp
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -434,3 +436,16 @@ def test_readme_tables_match_the_code():
     documented_flags = {row[0].strip("`"): set(re.findall(r"`(--[\w-]+)`", row[1]))
                         for row in _readme_table("### Flags")}
     assert documented_flags == _parser_flags()
+
+
+def test_runtime_imports_are_numpy_and_stdlib_only():
+    # scipy and pytest-benchmark may be installed, but the package needs only numpy.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = set()
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert imported and {(f, m) for f, m in imported if m not in allowed} == set()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,78 @@ def test_chain_memory_does_not_grow_with_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def full_matrix_grid_search(params, step, q_fixed=None):
+    """(policy, scores) of the (q, p) grid scored as one whole matrix.
+
+    The reference for ``grid_search``'s block scan: ``np.argmax`` over the
+    whole matrix picks the first best point, q ascending, then p ascending.
+    """
+    q = np.arange(0.0, 1.0 + step / 2, step) if q_fixed is None else np.array([q_fixed])
+    q[-1] = min(q[-1], 1.0)
+    p = np.arange(0.0, 1.0 + step / 2, step)
+    p[-1] = min(p[-1], 1.0)
+    P = params.p_max
+    mu_eff = params.phi_nc + q * (params.phi_c - params.phi_nc)
+    pi_0 = 1.0 - params.lambda_pu / mu_eff
+    coop = (params.lambda_pu / mu_eff) * q * P
+    power = coop[:, None] + pi_0[:, None] * p[None, :] * P
+    ups = np.minimum(params.lambda_su, params.mu_su_of(P) * pi_0[:, None] * p[None, :])
+    ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
+    if ups[i, j] == -np.inf:
+        return None, ups
+    return oracle._policy_at(params, float(q[i]), float(p[j])), ups
+
+
+def assert_grid_matches_full_matrix(params, step, q_fixed=None):
+    want, ups = full_matrix_grid_search(params, step, q_fixed)
+    if want is None:
+        with pytest.raises(ValueError, match="no grid point meets"):
+            grid_search(params, step, q_fixed=q_fixed)
+    else:
+        assert grid_search(params, step, q_fixed=q_fixed) == want, (params, step, q_fixed)
+    return ups
+
+
+# Three-row blocks put block boundaries inside even the 0.1 grid.
+@pytest.mark.parametrize("rows", [3, oracle._GRID_ROWS])
+@pytest.mark.parametrize("step, n_models", [(0.1, 60), (0.01, 60), (1e-3, 8)])
+def test_grid_block_scan_matches_full_matrix(monkeypatch, rows, step, n_models):
+    monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
+    g = rng(31)
+    for _ in range(n_models):
+        params = random_two_point(g)
+        assert_grid_matches_full_matrix(params, step)
+        for q_fixed in (0.0, float(g.uniform()), 1.0):
+            assert_grid_matches_full_matrix(params, step, q_fixed)
+
+
+@pytest.mark.parametrize("rows, step", [(3, 0.01), (oracle._GRID_ROWS, 1e-3)])
+def test_grid_ties_and_infeasible_rows(monkeypatch, rows, step):
+    monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
+    # A low arrival rate caps the rate at lambda_su on q rows of several
+    # blocks, first reached at q = 0 for 0.05 and at q > 0 for 0.2.
+    for lambda_su in (0.05, 0.2):
+        ups = assert_grid_matches_full_matrix(replace(REF, lambda_su=lambda_su), step)
+        tied_rows = np.flatnonzero((ups == lambda_su).any(axis=1))
+        assert len(tied_rows) > 2 * rows
+        assert (tied_rows[0] == 0) == (lambda_su == 0.05)
+    # Cooperation at q = 1 alone spends 0.625 > p_avg = 0.5.
+    assert full_matrix_grid_search(REF, step, q_fixed=1.0)[0] is None
+    with pytest.raises(ValueError, match="no grid point meets"):
+        grid_search(REF, step, q_fixed=1.0)
+
+
+def test_grid_memory_does_not_grow_with_resolution():
+    tracemalloc.start()
+    try:
+        grid_search(REF, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_closed_form_requires_two_point():
