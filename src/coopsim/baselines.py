@@ -24,34 +24,30 @@ class _OpenLoopPolicy:
     """Frame-blind hooks shared by the comparison policies.
 
     Nothing happens at frame boundaries. Every ``choose_power`` call is one
-    slot: the power it returns is charged to the running spend and slot
-    count that the budget gate reads.
+    slot: the power it returns is added to ``spend`` and the call to
+    ``slots``, the running counters the budget gate reads. ``p_avg`` and
+    ``p_max`` are copied from the model once, since every slot reads them.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self.p_avg = params.p_avg
+        self.p_max = params.p_max
         self.spend = 0.0
         self.slots = 0
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
         pass
 
-    def _spent(self, power: float) -> float:
-        """Charge one slot at ``power`` to the running counters; return it."""
-        self.spend += power
-        self.slots += 1
-        return power
-
 
 class NoCoopPolicy(_OpenLoopPolicy):
     """Idle-only transmission at peak power, budget-gated."""
 
     def choose_power(self, idle: bool) -> float:
-        if not idle:
-            return self._spent(0.0)
-        return self._spent(
-            budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
-        )
+        power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max) if idle else 0.0
+        self.spend += power
+        self.slots += 1
+        return power
 
 
 class AlwaysCoopPolicy(_OpenLoopPolicy):
@@ -63,13 +59,16 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
         self.idle_power_spent = 0.0
 
     def choose_power(self, idle: bool) -> float:
-        p_avg, p_max = self.params.p_avg, self.params.p_max
-        if not idle:
+        p_max = self.p_max
+        if idle:
+            reserved = self.busy_slots_seen * p_max + self.idle_power_spent
+            power = budget_gate(reserved, self.slots, self.p_avg, p_max)
+            self.idle_power_spent += power
+        else:
             self.busy_slots_seen += 1
-            return self._spent(budget_gate(self.spend, self.slots, p_avg, p_max))
-        reserved = self.busy_slots_seen * p_max + self.idle_power_spent
-        power = self._spent(budget_gate(reserved, self.slots, p_avg, p_max))
-        self.idle_power_spent += power
+            power = budget_gate(self.spend, self.slots, self.p_avg, p_max)
+        self.spend += power
+        self.slots += 1
         return power
 
 
@@ -77,6 +76,7 @@ class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
     def choose_power(self, idle: bool) -> float:
-        return self._spent(
-            budget_gate(self.spend, self.slots, self.params.p_avg, self.params.p_max)
-        )
+        power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max)
+        self.spend += power
+        self.slots += 1
+        return power

@@ -21,7 +21,13 @@ from pathlib import Path
 from .analysis import busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
 from .engine import RNG_NAME, PolicySpec, RunMetrics, Scenario, run_episode, sweep_v
-from .oracle import grid_search, optimal_at_q, optimal_two_point, simulate_stationary
+from .oracle import (
+    StationaryPolicy,
+    grid_search,
+    optimal_at_q,
+    optimal_two_point,
+    simulate_stationary,
+)
 
 FRAMES_CSV_COLUMNS = (
     "frame",
@@ -46,25 +52,24 @@ SWEEP_CSV_COLUMNS = ("v", "throughput_admitted", "avg_q_su", "avg_power")
 ORACLE_CSV_COLUMNS = ("upsilon", "q", "p", "pi_0", "power_used")
 
 
-def _fmt(value) -> str:
-    """Exact text form: repr for floats round-trips bit for bit."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _meta_line(metrics: RunMetrics) -> str:
     return f"# rng={RNG_NAME} seed={metrics.seed} policy={metrics.policy_label}"
 
 
-def _write_csv(path: Path, meta_line: str | None, header, rows) -> None:
-    """One CSV file: optional comment line, header, then the rows."""
+def _write_csv(path: Path, meta_line: str | None, header, row_format: str, rows) -> None:
+    """One CSV file: optional comment line, header, then one line per row.
+
+    Each row is a tuple written with one ``row_format % row``: ``%d`` for
+    ints, ``%r`` for floats (repr round-trips bit for bit) and ``%s`` for
+    text. Lines end in CRLF like ``csv.writer``'s default dialect; no field
+    written here holds a comma, quote or newline, so none needs quoting and
+    the bytes are what ``csv.writer`` writes.
+    """
     with open(path, "w", newline="") as fh:
         if meta_line is not None:
             fh.write(meta_line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(map((row_format + "\r\n").__mod__, rows)))
 
 
 def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
@@ -73,12 +78,12 @@ def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
         metrics.frame_len.tolist(),
         metrics.admitted.tolist(),
         metrics.served.tolist(),
-        map(_fmt, metrics.power_idle.tolist()),
-        map(_fmt, metrics.power_coop.tolist()),
+        metrics.power_idle.tolist(),
+        metrics.power_coop.tolist(),
         metrics.q_su_end.tolist(),
-        map(_fmt, metrics.x_su_end.tolist()),
+        metrics.x_su_end.tolist(),
     )
-    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, rows)
+    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%r,%r,%d,%r", rows)
 
 
 def read_frames_csv(path: Path) -> dict[str, list]:
@@ -96,29 +101,30 @@ def read_frames_csv(path: Path) -> dict[str, list]:
 
 
 def write_summary_csv(path: Path, metrics: RunMetrics) -> None:
-    row = [
+    row = (
         metrics.policy_label,
-        _fmt(float(metrics.v)) if metrics.v is not None else "",
-        _fmt(metrics.throughput_admitted),
-        _fmt(metrics.throughput_served),
-        _fmt(metrics.avg_power),
+        repr(float(metrics.v)) if metrics.v is not None else "",
+        metrics.throughput_admitted,
+        metrics.throughput_served,
+        metrics.avg_power,
         metrics.max_q_su,
         metrics.seed,
-    ]
-    _write_csv(path, _meta_line(metrics), SUMMARY_CSV_COLUMNS, [row])
+    )
+    _write_csv(path, _meta_line(metrics), SUMMARY_CSV_COLUMNS, "%s,%s,%r,%r,%r,%d,%d", [row])
 
 
 def write_sweep_csv(path: Path, results: list[tuple[float, RunMetrics]], seed: int) -> None:
     rows = (
-        [
-            _fmt(float(v)),
-            _fmt(metrics.throughput_admitted),
-            _fmt(metrics.avg_q_su),
-            _fmt(metrics.avg_power),
-        ]
+        (float(v), metrics.throughput_admitted, metrics.avg_q_su, metrics.avg_power)
         for v, metrics in results
     )
-    _write_csv(path, f"# rng={RNG_NAME} base_seed={seed}", SWEEP_CSV_COLUMNS, rows)
+    _write_csv(path, f"# rng={RNG_NAME} base_seed={seed}", SWEEP_CSV_COLUMNS, "%r,%r,%r,%r",
+               rows)
+
+
+def write_oracle_csv(path: Path, policy: StationaryPolicy) -> None:
+    row = (policy.upsilon, policy.coop_prob, policy.idle_tx_prob, policy.pi_0, policy.power_used)
+    _write_csv(path, None, ORACLE_CSV_COLUMNS, "%r,%r,%r,%r,%r", [row])
 
 
 def _summary_line(metrics: RunMetrics) -> str:
@@ -244,8 +250,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"p={policy.idle_tx_prob!r}")
     print(f"pi_0={policy.pi_0!r}")
     print(f"power_used={policy.power_used!r}")
-    row = [policy.upsilon, policy.coop_prob, policy.idle_tx_prob, policy.pi_0, policy.power_used]
-    _write_csv(_out_dir(cfg) / "oracle.csv", None, ORACLE_CSV_COLUMNS, [[_fmt(x) for x in row]])
+    write_oracle_csv(_out_dir(cfg) / "oracle.csv", policy)
     if args.validate:
         sim = simulate_stationary(policy, params, args.validate_slots, cfg.get("seed", 1))
         print(

@@ -17,6 +17,14 @@ where theta is the attained idle objective. On a two-point power set the busy
 problem collapses to a threshold test on x_su. Ties always resolve to the
 lower power (and the lower user index in the multi-user variant) so runs
 replay deterministically.
+
+``FrameRule`` holds both rules over per-level tables built once from the
+model, so a frame decision does no per-level map or property lookup. The
+controller keeps one per policy; ``solve_p0``, ``solve_p1`` and
+``cooperation_threshold`` build one per call and read the same rules. The
+threshold is ``theta * (phi_c - phi_nc) / (p_max * phi_nc)`` with the
+numerator and denominator precomputed and the product taken first, which
+keeps it the same float as the closed form.
 """
 
 from __future__ import annotations
@@ -62,6 +70,52 @@ def admit(q_su_now: int, arrivals_now: int, v: float) -> int:
     return arrivals_now if q_su_now <= v else 0
 
 
+class FrameRule:
+    """Both frame rules over per-level tables built once from the model.
+
+    ``idle`` holds ``(p, mu_su[p])`` and ``busy`` holds ``(p, phi[p])`` for
+    each power level, in increasing power; ``coop_num`` and ``coop_den`` are
+    the two-point threshold's ``phi_c - phi_nc`` and ``p_max * phi_nc``.
+    """
+
+    __slots__ = ("idle", "busy", "two_point", "p_max", "coop_num", "coop_den")
+
+    def __init__(self, params: ModelParams):
+        levels = params.power_set.levels
+        self.idle = tuple((p, params.mu_su[p]) for p in levels)
+        self.busy = tuple((p, params.phi[p]) for p in levels)
+        self.two_point = params.power_set.two_point
+        self.p_max = params.p_max
+        self.coop_num = params.phi_c - params.phi_nc
+        self.coop_den = params.p_max * params.phi_nc
+
+    def idle_power(self, q_su_frame: float, x_su_frame: float) -> tuple[float, float]:
+        """Maximize ``q_su * mu_su(P) - x_su * P``; returns (power, attained value)."""
+        best_p = 0.0
+        best_val = None
+        for p, mu in self.idle:
+            val = q_su_frame * mu - x_su_frame * p
+            if best_val is None or val > best_val:
+                best_p, best_val = p, val
+        return best_p, best_val
+
+    def threshold(self, theta_star: float) -> float:
+        # product first: theta * (num / den) rounds differently for many theta
+        return theta_star * self.coop_num / self.coop_den
+
+    def busy_power(self, theta_star: float, x_su_frame: float) -> float:
+        """Minimize ``(theta + x_su * P) / phi(P)``; the two-point set uses the threshold."""
+        if self.two_point:
+            return 0.0 if x_su_frame >= self.threshold(theta_star) else self.p_max
+        best_p = 0.0
+        best_val = None
+        for p, phi in self.busy:
+            val = (theta_star + x_su_frame * p) / phi
+            if best_val is None or val < best_val:
+                best_p, best_val = p, val
+        return best_p
+
+
 def solve_p0(
     q_su_frame: float, x_su_frame: float, params: ModelParams
 ) -> tuple[float, float]:
@@ -70,22 +124,12 @@ def solve_p0(
     The objective at power 0 is q_su * mu_su(0) >= 0, so the attained value
     is never negative.
     """
-    best_p = 0.0
-    best_val = None
-    for p in params.power_set.levels:
-        val = q_su_frame * params.mu_su_of(p) - x_su_frame * p
-        if best_val is None or val > best_val:
-            best_p, best_val = p, val
-    return best_p, best_val
+    return FrameRule(params).idle_power(q_su_frame, x_su_frame)
 
 
 def cooperation_threshold(theta_star: float, params: ModelParams) -> float:
     """Virtual-backlog level above which cooperation stops paying off."""
-    return (
-        theta_star
-        * (params.phi_c - params.phi_nc)
-        / (params.p_max * params.phi_nc)
-    )
+    return FrameRule(params).threshold(theta_star)
 
 
 def solve_p1(theta_star: float, x_su_frame: float, params: ModelParams) -> float:
@@ -99,17 +143,7 @@ def solve_p1(theta_star: float, x_su_frame: float, params: ModelParams) -> float
     point, q_su = 2 and x_su = 0.5 give theta = 1.5, both objectives equal
     2.5, and the threshold rounds to 0.5000000000000002.
     """
-    if params.power_set.two_point:
-        if x_su_frame >= cooperation_threshold(theta_star, params):
-            return 0.0
-        return params.p_max
-    best_p = 0.0
-    best_val = None
-    for p in params.power_set.levels:
-        val = (theta_star + x_su_frame * p) / params.phi_of(p)
-        if best_val is None or val < best_val:
-            best_p, best_val = p, val
-    return best_p
+    return FrameRule(params).busy_power(theta_star, x_su_frame)
 
 
 @dataclass(frozen=True)
@@ -217,11 +251,13 @@ class FrameDriftPenaltyPolicy:
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self.rule = FrameRule(params)
         self.begin_frame(0, 0.0)
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
-        self.p0_star, theta = solve_p0(q_su, x_su, self.params)
-        self.p1_star = solve_p1(theta, x_su, self.params)
+        rule = self.rule
+        self.p0_star, theta = rule.idle_power(q_su, x_su)
+        self.p1_star = rule.busy_power(theta, x_su)
 
     def choose_power(self, idle: bool) -> float:
         return self.p0_star if idle else self.p1_star

@@ -12,9 +12,12 @@ No policy draws randomness. The engine does admission and both queue steps
 inline: fbdpp admits a slot's arrivals while the backlog is at most v, the
 others admit them all. ``step_pu_queue``, ``step_su_queue`` and ``admit``
 state the same slot helper by helper; the tests hold the engine to them. One
-seeded generator draws five uniforms per slot, 8192 slots at a time, each
-block turned once into every outcome a slot can need, so a rerun with the
-same scenario and seed reproduces every number bit for bit. The best
+seeded generator draws five uniforms per slot, 8192 slots at a time, so a
+rerun with the same scenario and seed reproduces every number bit for bit.
+Each block is turned once into every outcome a slot can need: a list of
+arrival counts, and one byte string per 0/1 outcome (primary success and
+secondary service per power level, primary arrival), whose items index as
+the ints 0 and 1 at a fraction of a list's build cost. The best
 stationary randomized policy is simulated by ``oracle.simulate_stationary``.
 
 Slot order: observe state, decide (power, admission), sample transmission
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,9 +238,9 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             # column 1 is drawn and never read, so each seed keeps its stream
             block = rng.random((_BLOCK, 5))
             arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
-            success = {p: (block[:, 2] < par.phi[p]).tolist() for p in par.power_set.levels}
-            service = {p: (block[:, 3] < par.mu_su[p]).tolist() for p in par.power_set.levels}
-            pu_arrival = (block[:, 4] < lam_pu).tolist()
+            success = {p: (block[:, 2] < par.phi[p]).tobytes() for p in par.power_set.levels}
+            service = {p: (block[:, 3] < par.mu_su[p]).tobytes() for p in par.power_set.levels}
+            pu_arrival = (block[:, 4] < lam_pu).tobytes()
             srv, suc = service[p0], success[p1]
             bi = 0
         # admission and service both read the backlog at the start of the slot
@@ -280,7 +282,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
             if len(frame_rows) in switches:
                 lam_pu = switches[len(frame_rows)]
-                pu_arrival = (block[:, 4] < lam_pu).tolist()
+                pu_arrival = (block[:, 4] < lam_pu).tobytes()
             frame_start = slot
             policy.begin_frame(q_su, x_su)
             if choose is None:
@@ -355,6 +357,9 @@ def sweep_v(
     if workers == 1:
         results = [run_episode(s) for s in scenarios]
     else:
+        # imported here: the pool machinery costs every other subcommand start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_episode, scenarios))
     return list(zip([float(v) for v in v_values], results))

@@ -1,18 +1,35 @@
 import argparse
 import ast
+import csv
 import filecmp
+import io
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coopsim import config
-from coopsim.cli import build_parser, main, read_frames_csv, write_sweep_csv
+from coopsim import ModelParams, Scenario, config
+from coopsim.cli import (
+    FRAMES_CSV_COLUMNS,
+    ORACLE_CSV_COLUMNS,
+    SUMMARY_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    build_parser,
+    main,
+    read_frames_csv,
+    write_frames_csv,
+    write_oracle_csv,
+    write_summary_csv,
+    write_sweep_csv,
+)
 from coopsim.config import ConfigError, RunConfig
-from coopsim.engine import POLICY_KINDS, PolicySpec, run_episode, sweep_v
-from coopsim.oracle import optimal_two_point, simulate_stationary
+from coopsim.engine import POLICY_KINDS, PolicySpec, RunMetrics, run_episode, sweep_v
+from coopsim.oracle import StationaryPolicy, optimal_two_point, simulate_stationary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -449,3 +466,104 @@ def test_runtime_imports_are_numpy_and_stdlib_only():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add((path.name, node.module.split(".")[0]))
     assert imported and {(f, m) for f, m in imported if m not in allowed} == set()
+
+
+def _csv_writer_bytes(meta_line, header, rows):
+    """The CSV format as ``csv.writer`` writes it, floats through repr."""
+    out = io.StringIO(newline="")
+    if meta_line is not None:
+        out.write(meta_line + "\n")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
+    return out.getvalue().encode()
+
+
+# values whose repr is long, exponent-form or subnormal
+AWKWARD = np.array([1e16, 1e-7, 5e-324, 0.1 + 0.2])
+
+
+def _crafted_metrics(n, v=500.0):
+    k = np.arange(n)
+    ints = np.int64
+    return RunMetrics(
+        policy_label=PolicySpec(kind="fbdpp", v=v).label() if v is not None else "counter",
+        v=v, seed=20260810, window=100,
+        frame_len=(k % 7 + 2).astype(ints), admitted=(k % 3).astype(ints),
+        served=(k % 2).astype(ints), power_idle=0.7 * k, power_coop=AWKWARD[k % 4],
+        q_su_end=(k * 37 % 501).astype(ints), x_su_end=np.cumsum(np.full(n, 0.7)),
+        idle_len=(k % 2).astype(ints), q_sum=(3 * k).astype(ints), max_q_su=501,
+    )
+
+
+def _frames_rows(m):
+    return zip(range(1, m.frames + 1), m.frame_len.tolist(), m.admitted.tolist(),
+               m.served.tolist(), m.power_idle.tolist(), m.power_coop.tolist(),
+               m.q_su_end.tolist(), m.x_su_end.tolist())
+
+
+def _summary_row(m):
+    return [m.policy_label, float(m.v) if m.v is not None else "", m.throughput_admitted,
+            m.throughput_served, m.avg_power, m.max_q_su, m.seed]
+
+
+def _meta(m):
+    return f"# rng=pcg64 seed={m.seed} policy={m.policy_label}"
+
+
+@pytest.mark.parametrize("v", [500.0, 0.7 * 3, None])
+def test_episode_writers_match_csv_writer(tmp_path, v):
+    m = _crafted_metrics(1000, v)
+    write_frames_csv(tmp_path / "frames.csv", m)
+    write_summary_csv(tmp_path / "summary.csv", m)
+    assert (tmp_path / "frames.csv").read_bytes() == _csv_writer_bytes(
+        _meta(m), FRAMES_CSV_COLUMNS, _frames_rows(m))
+    assert (tmp_path / "summary.csv").read_bytes() == _csv_writer_bytes(
+        _meta(m), SUMMARY_CSV_COLUMNS, [_summary_row(m)])
+    cols = read_frames_csv(tmp_path / "frames.csv")
+    assert cols["frame"] == list(range(1, 1001))
+    assert cols["power_idle"] == m.power_idle.tolist()
+    assert cols["power_coop"] == m.power_coop.tolist()
+    assert cols["x_su_end"] == m.x_su_end.tolist()
+    assert cols["q_su_end"] == m.q_su_end.tolist()
+
+
+def test_zero_frame_episode_writes_header_only(tmp_path):
+    quiet = ModelParams.two_point(0.0, 0.5, 0.6, 0.8, 0.5)
+    m = run_episode(Scenario(params=quiet, policy=PolicySpec(kind="fbdpp", v=5.0),
+                             horizon_frames=3, seed=1, max_slots=50))
+    assert m.frames == 0
+    write_frames_csv(tmp_path / "frames.csv", m)
+    write_summary_csv(tmp_path / "summary.csv", m)
+    assert (tmp_path / "frames.csv").read_bytes() == _csv_writer_bytes(
+        _meta(m), FRAMES_CSV_COLUMNS, [])
+    assert (tmp_path / "summary.csv").read_bytes() == _csv_writer_bytes(
+        _meta(m), SUMMARY_CSV_COLUMNS, [_summary_row(m)])
+    assert read_frames_csv(tmp_path / "frames.csv") == {name: [] for name in FRAMES_CSV_COLUMNS}
+
+
+def test_sweep_and_oracle_writers_match_csv_writer(tmp_path):
+    results = [(0.7 * k, _crafted_metrics(10 * k + 1)) for k in range(1, 5)]
+    results.append((1e16, _crafted_metrics(3)))
+    write_sweep_csv(tmp_path / "sweep.csv", results, 7)
+    assert (tmp_path / "sweep.csv").read_bytes() == _csv_writer_bytes(
+        "# rng=pcg64 base_seed=7", SWEEP_CSV_COLUMNS,
+        [[float(v), m.throughput_admitted, m.avg_q_su, m.avg_power] for v, m in results])
+    policy = StationaryPolicy(coop_prob=0.7 * 3, idle_tx_prob=1e-7, upsilon=1e16, pi_0=5e-324,
+                              power_used=0.1 + 0.2)
+    write_oracle_csv(tmp_path / "oracle.csv", policy)
+    assert (tmp_path / "oracle.csv").read_bytes() == _csv_writer_bytes(
+        None, ORACLE_CSV_COLUMNS, [[1e16, 0.7 * 3, 1e-7, 5e-324, 0.1 + 0.2]])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # sweep_v imports the pool only when it runs more than one worker
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, coopsim.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -292,3 +292,87 @@ def test_policy_queue_bound_and_frame_constancy():
     for _ in range(5):
         assert pol.choose_power(True) == pol.p0_star
         assert pol.choose_power(False) == pol.p1_star
+
+
+def _solve_p0_spec(q, x, params):
+    """The idle rule as first written: one map lookup per level."""
+    best_p, best_val = 0.0, None
+    for p in params.power_set.levels:
+        val = q * params.mu_su_of(p) - x * p
+        if best_val is None or val > best_val:
+            best_p, best_val = p, val
+    return best_p, best_val
+
+
+def _threshold_spec(theta, params):
+    return theta * (params.phi_c - params.phi_nc) / (params.p_max * params.phi_nc)
+
+
+def _solve_p1_spec(theta, x, params):
+    """The busy rule as first written, threshold included."""
+    if params.power_set.two_point:
+        return 0.0 if x >= _threshold_spec(theta, params) else params.p_max
+    best_p, best_val = 0.0, None
+    for p in params.power_set.levels:
+        val = (theta + x * p) / params.phi_of(p)
+        if best_val is None or val < best_val:
+            best_p, best_val = p, val
+    return best_p
+
+
+def _spec_pair(q, x, params):
+    p0, theta = _solve_p0_spec(q, x, params)
+    return p0, _solve_p1_spec(theta, x, params)
+
+
+def test_frame_decision_matches_the_rule_on_the_two_point_lattice():
+    # every integer backlog and every half-step virtual backlog, ties included
+    pol = FrameDriftPenaltyPolicy(REF)
+    mismatches = []
+    for q in range(601):
+        for k in range(1200):
+            x = 0.5 * k
+            pol.begin_frame(q, x)
+            if (pol.p0_star, pol.p1_star) != _spec_pair(q, x, REF):
+                mismatches.append((q, x))
+    assert mismatches == []
+    # the same threshold float, not just the same decisions: theta * (num / den)
+    # rounds differently for about one lattice theta in five
+    thetas = [0.5 * k for k in range(1201)]
+    assert [cooperation_threshold(t, REF) for t in thetas] == [
+        _threshold_spec(t, REF) for t in thetas]
+    # the reference tie: both busy objectives equal 2.5, and the threshold
+    # rounds to 0.5000000000000002, so the two-point rule still cooperates
+    pol.begin_frame(2, 0.5)
+    assert (pol.p0_star, pol.p1_star) == (1.0, REF.p_max)
+    assert cooperation_threshold(1.5, REF) == 0.5000000000000002
+    assert solve_p1(1.5, 0.5, REF) == REF.p_max
+
+
+def random_two_point(g):
+    phi_nc, phi_c = np.sort(g.uniform(0.3, 1.0, 2))
+    p_max = float(g.uniform(0.1, 2.0))
+    return ModelParams.two_point(
+        float(g.uniform(0.05, phi_nc * 0.9)), float(g.uniform(0.1, 1.0)), float(phi_nc),
+        float(phi_c), float(g.uniform(0.1, p_max)), p_max, mu_su_max=float(g.uniform(0.1, 1.0)),
+    )
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+def test_frame_decision_matches_the_rule_on_random_grids(n_levels):
+    # non-dyadic phi and mu_su; two levels means the two-point threshold rule
+    g = rng(10 + n_levels)
+    for _ in range(40):
+        par = random_two_point(g) if n_levels == 2 else random_params(g, n_levels=n_levels)
+        pol = FrameDriftPenaltyPolicy(par)
+        for _ in range(100):
+            q = float(g.integers(0, 300)) if g.random() < 0.5 else float(g.uniform(0, 300))
+            x = float(g.uniform(0, 100))
+            pol.begin_frame(q, x)
+            want = _spec_pair(q, x, par)
+            assert (pol.p0_star, pol.p1_star) == want
+            assert solve_p0(q, x, par) == _solve_p0_spec(q, x, par)
+            theta = solve_p0(q, x, par)[1]
+            assert solve_p1(theta, x, par) == want[1]
+            if par.power_set.two_point:
+                assert cooperation_threshold(theta, par) == _threshold_spec(theta, par)

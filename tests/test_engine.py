@@ -364,3 +364,42 @@ def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
     sc = Scenario(params=REF, policy=FBDPP, horizon_frames=20, seed=3)
     with pytest.raises(RuntimeError, match="virtual backlog went negative"):
         run_episode(sc)
+
+
+def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
+    # perfbench/tracing.py replaces these names from outside the package and
+    # reports a name it cannot find as absent, so a hook moved into a base
+    # class or a function bound before the episode would blank its metric
+    import inspect
+
+    import coopsim.cli as cli
+    import coopsim.engine as engine
+    from coopsim import AlwaysCoopPolicy, CounterPolicy, FrameDriftPenaltyPolicy, NoCoopPolicy
+
+    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP)] + [
+        (cls, "choose_power", PolicySpec(kind=kind))
+        for cls, kind in ((NoCoopPolicy, "no_coop"), (AlwaysCoopPolicy, "always_coop"),
+                          (CounterPolicy, "counter"))
+    ]
+    assert list(inspect.signature(cli.write_frames_csv).parameters) == ["path", "metrics"]
+    boundaries = [0]
+
+    def counted_update(*args):
+        boundaries[0] += 1
+        return update_virtual_queue(*args)
+
+    monkeypatch.setattr(engine, "update_virtual_queue", counted_update)
+    for cls, name, spec in hooks:
+        assert name in cls.__dict__, (cls.__name__, name)
+        calls = [0]
+
+        def counted(self, *args, _fn=cls.__dict__[name]):
+            calls[0] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+        boundaries[0] = 0
+        m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4))
+        # fbdpp decides on construction, at the first slot and at every boundary
+        assert calls[0] == (m.frames + 2 if spec.kind == "fbdpp" else m.slots), cls.__name__
+        assert boundaries[0] == m.frames
