@@ -6,7 +6,8 @@ by elapsed slots stays below the budget. They differ only in the spend they
 feed the gate. The always-cooperate policy additionally reserves the budget
 for cooperation: its idle-slot gate charges every busy slot seen so far at
 peak power, whether or not the gate was open then, so its own traffic only
-uses power that cooperation could never claim. None of them draws randomness;
+uses power that cooperation could never claim. Their one hook,
+``choose_power(idle)``, runs once per slot. None of them draws randomness;
 the best stationary randomized policy lives in ``oracle``.
 """
 
@@ -21,23 +22,19 @@ def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
 
 
 class _OpenLoopPolicy:
-    """Frame-blind hooks shared by the comparison policies.
+    """Frame-blind state shared by the comparison policies.
 
-    Nothing happens at frame boundaries. Every ``choose_power`` call is one
-    slot: the power it returns is added to ``spend`` and the call to
-    ``slots``, the running counters the budget gate reads. ``p_avg`` and
-    ``p_max`` are copied from the model once, since every slot reads them.
+    ``choose_power`` is the one hook, and every call is one slot: the power
+    it returns is added to ``spend`` and the call to ``slots``, the running
+    counters the budget gate reads. ``p_avg`` and ``p_max`` are copied from
+    the model once, since every slot reads them.
     """
 
     def __init__(self, params: ModelParams):
-        self.params = params
         self.p_avg = params.p_avg
         self.p_max = params.p_max
         self.spend = 0.0
         self.slots = 0
-
-    def begin_frame(self, q_su: int, x_su: float) -> None:
-        pass
 
 
 class NoCoopPolicy(_OpenLoopPolicy):

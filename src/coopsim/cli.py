@@ -193,8 +193,8 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
     metrics = _episode(args)
     coop_ma = metrics.moving_average("coop_power")
     if metrics.frames >= 1:
-        checkpoints = [k for k in (100, 300, 500, 700, 900, metrics.frames) if k <= metrics.frames]
-        for k in checkpoints:
+        for k in sorted({k for k in (100, 300, 500, 700, 900, metrics.frames)
+                         if k <= metrics.frames}):
             print(f"frame={k} coop_power_ma={coop_ma[k - 1]:.6f}")
     return 0
 

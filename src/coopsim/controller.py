@@ -1,8 +1,8 @@
 """Frame-based drift-plus-penalty controller.
 
 At the start of each frame the controller reads the pair of weights
-(secondary backlog, virtual power backlog) and picks two constant powers for
-the whole frame, read by the engine once per frame: one for every primary-idle
+(secondary backlog, virtual power backlog) in ``begin_frame``, its one hook,
+and picks two constant powers for the whole frame: one for every primary-idle
 slot's own traffic, one for cooperative transmission in every primary-busy
 slot. Admission is a per-slot backlog threshold, which the engine applies
 inline and ``admit`` states. No decision needs the arrival rates.
@@ -18,12 +18,12 @@ problem collapses to a threshold test on x_su. Ties always resolve to the
 lower power (and the lower user index in the multi-user variant) so runs
 replay deterministically.
 
-``FrameRule`` holds both rules over per-level tables built once from the
-model, so a frame decision does no per-level map or property lookup. The
-controller keeps one per policy; ``solve_p0``, ``solve_p1`` and
-``cooperation_threshold`` build one per call and read the same rules. The
-threshold is ``theta * (phi_c - phi_nc) / (p_max * phi_nc)`` with the
-numerator and denominator precomputed and the product taken first, which
+``FrameRule`` holds the only copy of both rules, over per-level tables built
+once from the model, so a frame decision does no per-level map or property
+lookup. The controller keeps one per policy, ``solve_multiuser_frame`` one
+per user, and ``solve_p0``/``solve_p1``/``cooperation_threshold`` one per
+call. The threshold is ``theta * (phi_c - phi_nc) / (p_max * phi_nc)`` with
+the numerator and denominator precomputed and the product taken first, which
 keeps it the same float as the closed form.
 """
 
@@ -103,17 +103,21 @@ class FrameRule:
         # product first: theta * (num / den) rounds differently for many theta
         return theta_star * self.coop_num / self.coop_den
 
-    def busy_power(self, theta_star: float, x_su_frame: float) -> float:
-        """Minimize ``(theta + x_su * P) / phi(P)``; the two-point set uses the threshold."""
-        if self.two_point:
-            return 0.0 if x_su_frame >= self.threshold(theta_star) else self.p_max
+    def busy_scan(self, theta_star: float, x_su_frame: float) -> tuple[float, float]:
+        """Minimize ``(theta + x_su * P) / phi(P)``; returns (power, attained value)."""
         best_p = 0.0
         best_val = None
         for p, phi in self.busy:
             val = (theta_star + x_su_frame * p) / phi
             if best_val is None or val < best_val:
                 best_p, best_val = p, val
-        return best_p
+        return best_p, best_val
+
+    def busy_power(self, theta_star: float, x_su_frame: float) -> float:
+        """The busy-slot power: the scan's, or the threshold's on a two-point set."""
+        if self.two_point:
+            return 0.0 if x_su_frame >= self.threshold(theta_star) else self.p_max
+        return self.busy_scan(theta_star, x_su_frame)[0]
 
 
 def solve_p0(
@@ -163,28 +167,24 @@ def solve_multiuser_frame(
 
     First the idle transmitter: the user/power pair with the largest backlog
     weighted objective. Then the cooperator: the user/power pair with the
-    smallest ratio objective given the attained idle value. Ties prefer the
-    lower index, then the lower power.
+    smallest ratio objective given the attained idle value, by each user's
+    scan, two-point or not. Ties prefer the lower index, then the lower power.
     """
     if len(frame_queues) != len(params_per_user) or not frame_queues:
         raise ValueError("need one (q, x) pair per user")
-    idle_user, p0_star, theta_star = 0, 0.0, None
-    for i, ((q_i, x_i), par) in enumerate(zip(frame_queues, params_per_user)):
-        p_i, th_i = solve_p0(q_i, x_i, par)
-        if theta_star is None or th_i > theta_star:
-            idle_user, p0_star, theta_star = i, p_i, th_i
-    coop_user, p1_star, best_ratio = 0, 0.0, None
-    for i, ((_, x_i), par) in enumerate(zip(frame_queues, params_per_user)):
-        for p in par.power_set.levels:
-            ratio = (theta_star + x_i * p) / par.phi_of(p)
-            if best_ratio is None or ratio < best_ratio:
-                coop_user, p1_star, best_ratio = i, p, ratio
+    rules = [FrameRule(par) for par in params_per_user]
+    users = range(len(rules))
+    idle = [rule.idle_power(q, x) for rule, (q, x) in zip(rules, frame_queues)]
+    idle_user = max(users, key=lambda i: idle[i][1])
+    p0_star, theta_star = idle[idle_user]
+    coop = [rule.busy_scan(theta_star, x) for rule, (_, x) in zip(rules, frame_queues)]
+    coop_user = min(users, key=lambda i: coop[i][1])
     return MultiUserDecision(
         idle_user=idle_user,
         p0_star=p0_star,
         theta_star=theta_star,
         coop_user=coop_user,
-        p1_star=p1_star,
+        p1_star=coop[coop_user][0],
     )
 
 
@@ -242,22 +242,17 @@ def solve_p1_fading(
 
 
 class FrameDriftPenaltyPolicy:
-    """Slot-policy wrapper: recompute the two powers at every frame boundary.
+    """Frame policy: recompute the two powers at every frame boundary.
 
-    One instance belongs to one simulation worker; it holds only the current
-    frame's power pair: ``p0_star`` for primary-idle slots, ``p1_star`` for
-    primary-busy slots.
+    One instance belongs to one simulation worker; ``begin_frame`` sets the
+    current frame's power pair, ``p0_star`` for primary-idle slots and
+    ``p1_star`` for primary-busy slots, which the engine reads once per frame.
     """
 
     def __init__(self, params: ModelParams):
-        self.params = params
         self.rule = FrameRule(params)
-        self.begin_frame(0, 0.0)
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
         rule = self.rule
         self.p0_star, theta = rule.idle_power(q_su, x_su)
         self.p1_star = rule.busy_power(theta, x_su)
-
-    def choose_power(self, idle: bool) -> float:
-        return self.p0_star if idle else self.p1_star

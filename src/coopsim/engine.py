@@ -2,9 +2,9 @@
 
 An episode runs whole frames: each frame is an idle run of the primary queue
 followed by a busy run, and ends at the first slot where the queue is empty
-again. A policy has two hooks. ``begin_frame(q_su, x_su)`` runs at every
-frame boundary with the fresh (backlog, virtual backlog) weights; fbdpp's
-``p0_star``/``p1_star`` are read there, once per frame. The open-loop kinds
+again. Each policy kind has one hook. fbdpp's ``begin_frame(q_su, x_su)``
+sets the ``p0_star``/``p1_star`` read for the whole frame, once, at its first
+slot, from the fresh (backlog, virtual backlog) weights. The open-loop kinds
 (``no_coop``, ``always_coop``, ``counter``) gate on the running spend, so
 their ``choose_power(idle)`` runs once per slot; the power it returns is
 spent in that slot whether or not the secondary queue has a packet to send.
@@ -196,6 +196,8 @@ class RunMetrics:
         if series not in arrays:
             raise ValueError(f"unknown series {series!r}")
         w = self.window if window is None else window
+        if w < 1:
+            raise ValueError("window must be at least 1")
         num = np.concatenate([[0.0], np.cumsum(arrays[series], dtype=float)])
         den = np.concatenate([[0.0], np.cumsum(self.frame_len, dtype=float)])
         k = np.arange(1, self.frames + 1)
@@ -231,8 +233,10 @@ def run_episode(scenario: Scenario) -> RunMetrics:
 
     bi = _BLOCK  # the first slot draws the first block
 
-    policy.begin_frame(q_su, x_su)
-    p0, p1 = (policy.p0_star, policy.p1_star) if choose is None else (0.0, 0.0)
+    p0 = p1 = 0.0
+    if choose is None:
+        policy.begin_frame(q_su, x_su)
+        p0, p1 = policy.p0_star, policy.p1_star
     while slot < max_slots:
         if bi == _BLOCK:
             # column 1 is drawn and never read, so each seed keeps its stream
@@ -284,14 +288,14 @@ def run_episode(scenario: Scenario) -> RunMetrics:
                 lam_pu = switches[len(frame_rows)]
                 pu_arrival = (block[:, 4] < lam_pu).tobytes()
             frame_start = slot
-            policy.begin_frame(q_su, x_su)
-            if choose is None:
-                p0, p1 = policy.p0_star, policy.p1_star
-                srv, suc = service[p0], success[p1]
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0
             if len(frame_rows) == scenario.horizon_frames:
                 break
+            if choose is None:
+                policy.begin_frame(q_su, x_su)
+                p0, p1 = policy.p0_star, policy.p1_star
+                srv, suc = service[p0], success[p1]
 
     columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
     arrays = {

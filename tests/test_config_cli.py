@@ -310,9 +310,13 @@ def test_cli_adaptive(tmp_path, capsys):
     )
     text += f"\nlambda_schedule = 60:0.2\nout_dir = {tmp_path}/out\n"
     cfg = write_config(tmp_path, text)
-    assert main(["adaptive", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "coop_power_ma=" in out
+    for argv, checkpoints in (([], ["frame=100", "frame=120"]),
+                              (["--frames", "100"], ["frame=100"])):
+        assert main(["adaptive", "--config", str(cfg), *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # each checkpoint once, also when the horizon is itself a checkpoint
+        assert [line.split()[0] for line in lines if line.startswith("frame=")] == checkpoints
+        assert all("coop_power_ma=" in line for line in lines if line.startswith("frame="))
 
 
 @pytest.mark.parametrize("argv, edit", [

@@ -124,15 +124,6 @@ def test_threshold_rule_equals_direct_argmin():
     assert checked == 1000
 
 
-def test_frame_power_dispatch():
-    pol = FrameDriftPenaltyPolicy(REF)
-    pol.p0_star, pol.p1_star = 1.0, 0.0
-    assert pol.choose_power(True) == 1.0
-    assert pol.choose_power(False) == 0.0
-    pol.p0_star, pol.p1_star = 0.0, 1.0
-    assert pol.choose_power(False) == 1.0
-
-
 def test_scaling_invariance():
     # Criterion 8d: scaling both weights by a positive constant leaves the
     # chosen powers unchanged (both objectives are positively homogeneous).
@@ -194,6 +185,24 @@ def test_multiuser_matches_exhaustive_search():
         assert (dec.idle_user, dec.p0_star) == (bi, bp0)
         assert dec.theta_star == pytest.approx(btheta)
         assert (dec.coop_user, dec.p1_star) == (bj, bp1)
+
+
+def test_multiuser_scans_two_point_users_and_keeps_the_tie_order():
+    # the busy choice scans every user's ratio, threshold or not: on this
+    # sub-lattice the two-point threshold rule picks p_max at 99 ties where
+    # the scan keeps 0, the reference tie (q_su = 2, x_su = 0.5) among them
+    users = [REF, REF]
+    ties = 0
+    for q in range(200):
+        for k in range(400):
+            x = 0.5 * k
+            queues = [(q, x), (q, x)]
+            dec = solve_multiuser_frame(queues, users)
+            (bi, bp0), btheta, (bj, bp1) = brute_force_multiuser(queues, users)
+            assert (dec.idle_user, dec.p0_star, dec.theta_star) == (bi, bp0, btheta)
+            assert (dec.coop_user, dec.p1_star) == (bj, bp1)
+            ties += solve_p1(btheta, x, REF) != bp1
+    assert ties == 99
 
 
 def fading_two_state(g, params):
@@ -287,11 +296,15 @@ def test_policy_queue_bound_and_frame_constancy():
     assert metrics.max_q_su <= 25 + REF.a_max
     # two distinct power values per frame at most: idle power stays p0 within
     # the frame, busy power stays p1 (frame sums must be multiples)
+    levels = REF.power_set.levels
+    busy_len = metrics.frame_len - metrics.idle_len
+    for k in range(metrics.frames):
+        assert metrics.power_idle[k] in [metrics.idle_len[k] * p for p in levels]
+        assert metrics.power_coop[k] in [busy_len[k] * p for p in levels]
     pol = FrameDriftPenaltyPolicy(REF)
     pol.begin_frame(40, 3.0)
-    for _ in range(5):
-        assert pol.choose_power(True) == pol.p0_star
-        assert pol.choose_power(False) == pol.p1_star
+    p0, theta = solve_p0(40, 3.0, REF)
+    assert (pol.p0_star, pol.p1_star) == (p0, solve_p1(theta, 3.0, REF))
 
 
 def _solve_p0_spec(q, x, params):

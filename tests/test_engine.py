@@ -156,6 +156,9 @@ def test_moving_average_prefix_and_window():
     assert ma[k] == pytest.approx(expect)
     with pytest.raises(ValueError):
         m.moving_average("nope")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            m.moving_average("coop_power", window=bad)
 
 
 def test_sweep_seeds_and_ordering():
@@ -196,9 +199,10 @@ def test_sweep_worker_env_cap(monkeypatch):
     PolicySpec(kind="counter"),
 ])
 def test_one_policy_call_per_slot(monkeypatch, spec):
-    # an open-loop policy's choose_power is its only per-slot call, and what
-    # it returns is what the slot spends; fbdpp is never called per slot, and
-    # every slot of a frame spends the pair begin_frame set at its start
+    # each kind has one hook: an open-loop policy's choose_power runs once
+    # per slot, and what it returns is what the slot spends; fbdpp's
+    # begin_frame runs once per frame, and every slot of the frame spends the
+    # pair it set
     import coopsim.engine as engine
 
     build_policy = engine.build_policy
@@ -206,19 +210,25 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
 
     def counting_policy(spec, params):
         policy = build_policy(spec, params)
-        choose, begin = policy.choose_power, policy.begin_frame
         calls, pairs = [0], []
+        if spec.kind == "fbdpp":
+            assert not hasattr(policy, "choose_power")
+            begin = policy.begin_frame
 
-        def counted(idle):
-            calls[0] += 1
-            return choose(idle)
+            def recorded(q_su, x_su):
+                begin(q_su, x_su)
+                pairs.append((policy.p0_star, policy.p1_star))
 
-        def recorded(q_su, x_su):
-            begin(q_su, x_su)
-            pairs.append((getattr(policy, "p0_star", None), getattr(policy, "p1_star", None)))
+            policy.begin_frame = recorded
+        else:
+            assert not hasattr(policy, "begin_frame")
+            choose = policy.choose_power
 
-        policy.choose_power = counted
-        policy.begin_frame = recorded
+            def counted(idle):
+                calls[0] += 1
+                return choose(idle)
+
+            policy.choose_power = counted
         built.append((policy, calls, pairs))
         return policy
 
@@ -226,11 +236,10 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
     m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=300, seed=9))
     [(policy, calls, pairs)] = built
     if spec.kind == "fbdpp":
-        assert calls[0] == 0
-        assert len(pairs) == m.frames + 1
+        assert len(pairs) == m.frames == 300
         assert len(set(pairs)) > 1          # the powers do change between frames
         busy_len = m.frame_len - m.idle_len
-        for k, (p0, p1) in enumerate(pairs[:-1]):
+        for k, (p0, p1) in enumerate(pairs):
             assert m.power_idle[k] == m.idle_len[k] * p0
             assert m.power_coop[k] == busy_len[k] * p1
     else:
@@ -260,13 +269,15 @@ def _reference_episode(scenario):
 
     Five uniforms per slot, in blocks of 8192 rows, used as run_episode uses
     them: arrivals, primary success, secondary service, primary arrival.
-    Column 1 is drawn but not read. One ``choose_power`` per slot for every
-    kind.
+    Column 1 is drawn but not read. fbdpp's pair is read from
+    ``p0_star``/``p1_star`` in every slot and set by ``begin_frame`` at every
+    boundary; the other kinds make one ``choose_power`` call per slot.
     """
     par, spec = scenario.params, scenario.policy
     policy = build_policy(spec, par)
+    fbdpp = spec.kind == "fbdpp"
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
-    admit_cap = spec.v if spec.kind == "fbdpp" else np.inf
+    admit_cap = spec.v if fbdpp else np.inf
     lam_pu = par.lambda_pu
     switches = dict(scenario.lambda_schedule)
     rows = []
@@ -276,7 +287,8 @@ def _reference_episode(scenario):
     f_pi = f_pc = 0.0
     seen_busy = False
     bi = 8192
-    policy.begin_frame(q_su, x_su)
+    if fbdpp:
+        policy.begin_frame(q_su, x_su)
     while len(rows) < scenario.horizon_frames and slot < scenario.slot_cap:
         if bi == 8192:
             block = rng.random((8192, 5))
@@ -285,7 +297,10 @@ def _reference_episode(scenario):
         u = block[bi]
         bi += 1
         idle = q_pu == 0
-        power = policy.choose_power(idle)
+        if fbdpp:
+            power = policy.p0_star if idle else policy.p1_star
+        else:
+            power = policy.choose_power(idle)
         adm = admit(q_su, int(arrivals[bi - 1]), admit_cap)
         pu_success = not idle and bool(u[2] < par.phi_of(power))
         offered = 1 if idle and u[3] < par.mu_su_of(power) else 0
@@ -309,7 +324,8 @@ def _reference_episode(scenario):
                          f_qsum))
             lam_pu = switches.get(len(rows), lam_pu)
             frame_start = slot
-            policy.begin_frame(q_su, x_su)
+            if fbdpp:
+                policy.begin_frame(q_su, x_su)
             seen_busy = False
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0
@@ -376,8 +392,9 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
     import coopsim.engine as engine
     from coopsim import AlwaysCoopPolicy, CounterPolicy, FrameDriftPenaltyPolicy, NoCoopPolicy
 
-    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP)] + [
-        (cls, "choose_power", PolicySpec(kind=kind))
+    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP, None),
+             (FrameDriftPenaltyPolicy, "begin_frame", FBDPP, 200)] + [
+        (cls, "choose_power", PolicySpec(kind=kind), None)
         for cls, kind in ((NoCoopPolicy, "no_coop"), (AlwaysCoopPolicy, "always_coop"),
                           (CounterPolicy, "counter"))
     ]
@@ -389,17 +406,27 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
         return update_virtual_queue(*args)
 
     monkeypatch.setattr(engine, "update_virtual_queue", counted_update)
-    for cls, name, spec in hooks:
+    for cls, name, _, _ in hooks:
         assert name in cls.__dict__, (cls.__name__, name)
+    originals = {(cls, name): cls.__dict__[name] for cls, name, _, _ in hooks}
+    for cls, name, spec, max_slots in hooks:
         calls = [0]
 
-        def counted(self, *args, _fn=cls.__dict__[name]):
+        def counted(self, *args, _fn=originals[cls, name]):
             calls[0] += 1
             return _fn(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
         boundaries[0] = 0
-        m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4))
-        # fbdpp decides on construction, at the first slot and at every boundary
-        assert calls[0] == (m.frames + 2 if spec.kind == "fbdpp" else m.slots), cls.__name__
+        m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4,
+                                 max_slots=max_slots))
+        if spec.kind != "fbdpp":
+            assert calls[0] == m.slots, cls.__name__
+        elif max_slots is None:
+            # one decision per frame: none after the boundary that completes the horizon
+            assert (calls[0], m.frames, m.partial_slots) == (50, 50, 0)
+        else:
+            # the slot cap cuts the horizon short: one more decision, for the partial tail
+            assert m.frames < 50 and m.partial_slots > 0
+            assert calls[0] == m.frames + 1
         assert boundaries[0] == m.frames
