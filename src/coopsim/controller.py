@@ -244,7 +244,7 @@ def solve_p1_fading(
 class FrameDriftPenaltyPolicy:
     """Frame policy: recompute the two powers at every frame boundary.
 
-    One instance belongs to one simulation worker; ``begin_frame`` sets the
+    One instance belongs to one episode; ``begin_frame`` sets the
     current frame's power pair, ``p0_star`` for primary-idle slots and
     ``p1_star`` for primary-busy slots, which the engine reads once per frame.
     """

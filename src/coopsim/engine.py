@@ -1,24 +1,26 @@
 """Frame-scoped episode driver with frame detection and metric collection.
 
-An episode runs whole frames: each frame is an idle run of the primary queue
-followed by a busy run, and ends at the first slot where the queue is empty
-again. Each policy kind has one hook. fbdpp's ``begin_frame(q_su, x_su)``
-sets the ``p0_star``/``p1_star`` read for the whole frame, once, at its first
-slot, from the fresh (backlog, virtual backlog) weights. The open-loop kinds
-(``no_coop``, ``always_coop``, ``counter``) gate on the running spend, so
-their ``choose_power(idle)`` runs once per slot; the power it returns is
-spent in that slot whether or not the secondary queue has a packet to send.
-No policy draws randomness. The engine does admission and both queue steps
-inline: fbdpp admits a slot's arrivals while the backlog is at most v, the
-others admit them all. ``step_pu_queue``, ``step_su_queue`` and ``admit``
-state the same slot helper by helper; the tests hold the engine to them. One
-seeded generator draws five uniforms per slot, 8192 slots at a time, so a
-rerun with the same scenario and seed reproduces every number bit for bit.
-Each block is turned once into every outcome a slot can need: a list of
-arrival counts, and one byte string per 0/1 outcome (primary success and
-secondary service per power level, primary arrival), whose items index as
-the ints 0 and 1 at a fraction of a list's build cost. The best
-stationary randomized policy is simulated by ``oracle.simulate_stationary``.
+Each frame is an idle run of the primary queue followed by a busy run, and
+the kernel runs it as two inner loops: the idle-run loop ends with the slot
+of the frame's first primary arrival, the busy-run loop when the primary
+queue empties, which closes the frame. Both also stop at the uniform block's
+last row or at the slot cap, whichever comes first. fbdpp's one hook,
+``begin_frame(q_su, x_su)``, sets the ``p0_star``/``p1_star`` read for the
+whole frame, once, at its first slot. The open-loop kinds (``no_coop``,
+``always_coop``, ``counter``) gate on the running spend, so their
+``choose_power(idle)`` runs once per slot; the power it returns is spent
+whether or not the secondary queue has a packet. No policy draws randomness.
+The engine does admission and both queue steps inline, and only a slot with
+a secondary arrival runs the admission and backlog-bound code: fbdpp admits
+while the backlog is at most v, the others always. ``step_pu_queue``,
+``step_su_queue`` and ``admit`` state the same slot helper by helper; the
+tests hold the engine to them. One seeded generator draws five uniforms per
+slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
+Each block is turned once into a list of arrival counts and one byte string
+per 0/1 outcome (primary success and secondary service per power level,
+primary arrival), whose items index as the ints 0 and 1. A sweep runs its
+episodes one after another in the calling process. The best stationary
+randomized policy is simulated by ``oracle.simulate_stationary``.
 
 Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
@@ -28,7 +30,6 @@ virtual power backlog is updated only at frame boundaries.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .montecarlo import arrival_counts
 RNG_NAME = "pcg64"
 POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter")
 _BLOCK = 8192
+_BOUND_ERROR = "backlog bound violated: q_su=%d > admit cap + a_max=%g"
 # RunMetrics' per-frame arrays, in the order run_episode records a frame.
 _FRAME_ARRAYS = (
     ("frame_len", np.int64), ("admitted", np.int64), ("served", np.int64),
@@ -227,18 +229,22 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     switches = dict(scenario.lambda_schedule)   # frames completed -> new lambda_pu
 
     frame_rows: list[tuple] = []   # one _FRAME_ARRAYS row per completed frame
-    q_pu = q_su = slot = frame_start = max_q = 0
+    q_pu = q_su = frame_start = max_q = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
     x_su = f_pi = f_pc = 0.0
-
-    bi = _BLOCK  # the first slot draws the first block
+    # slot = base + bi; a block's rows stop at lim, which the slot cap may cut short
+    base = bi = lim = 0
 
     p0 = p1 = 0.0
     if choose is None:
         policy.begin_frame(q_su, x_su)
         p0, p1 = policy.p0_star, policy.p1_star
-    while slot < max_slots:
-        if bi == _BLOCK:
+    while True:
+        if bi == lim:
+            base += bi
+            bi = 0
+            if base >= max_slots:
+                break
             # column 1 is drawn and never read, so each seed keeps its stream
             block = rng.random((_BLOCK, 5))
             arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
@@ -246,56 +252,72 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             service = {p: (block[:, 3] < par.mu_su[p]).tobytes() for p in par.power_set.levels}
             pu_arrival = (block[:, 4] < lam_pu).tobytes()
             srv, suc = service[p0], success[p1]
-            bi = 0
-        # admission and service both read the backlog at the start of the slot
-        adm = arrivals[bi] if q_su <= admit_cap else 0
-        f_qsum += q_su
-        idle = q_pu == 0
-        if idle:
-            if choose is not None:
-                p0 = choose(True)
-                srv = service[p0]
-            f_idle += 1
-            f_pi += p0
-            if q_su and srv[bi]:
-                q_su -= 1
-                f_srv += 1
-            q_pu = pu_arrival[bi]
-        else:
+            lim = min(_BLOCK, max_slots - base)
+        if not q_pu:
+            # idle run: ends with the slot of the frame's first primary arrival
+            while bi < lim:
+                if choose is not None:
+                    p0 = choose(True)
+                    srv = service[p0]
+                f_pi += p0
+                f_qsum += q_su
+                # admission and service both read the backlog at the start of the slot
+                adm = arrivals[bi]
+                if adm and q_su > admit_cap:
+                    adm = 0
+                if q_su and srv[bi]:
+                    q_su -= 1
+                    f_srv += 1
+                q_pu = pu_arrival[bi]
+                bi += 1
+                if adm:
+                    q_su += adm
+                    f_adm += adm
+                    if q_su > max_q:
+                        max_q = q_su
+                        if q_su > q_bound:
+                            raise RuntimeError(_BOUND_ERROR % (q_su, q_bound))
+                if q_pu:
+                    f_idle = base + bi - frame_start
+                    break
+            continue
+        # busy run: no secondary service, and it ends when the primary queue empties
+        while q_pu and bi < lim:
             if choose is not None:
                 p1 = choose(False)
                 suc = success[p1]
             f_pc += p1
+            f_qsum += q_su
             q_pu += pu_arrival[bi] - suc[bi]    # busy: no clamp at zero needed
-        bi += 1
-        slot += 1
-        q_su += adm
-        f_adm += adm
-        if q_su > max_q:
-            max_q = q_su
-            if q_su > q_bound:
-                raise RuntimeError(
-                    "backlog bound violated: q_su=%d > admit cap + a_max=%g" % (q_su, q_bound)
-                )
-
-        if not idle and q_pu == 0:      # the busy run just ended the frame
-            f_len = slot - frame_start
-            x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, par.p_avg)
-            if not x_su >= 0.0:
-                raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
-            frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
-            if len(frame_rows) in switches:
-                lam_pu = switches[len(frame_rows)]
-                pu_arrival = (block[:, 4] < lam_pu).tobytes()
-            frame_start = slot
-            f_idle = f_adm = f_srv = f_qsum = 0
-            f_pi = f_pc = 0.0
-            if len(frame_rows) == scenario.horizon_frames:
-                break
-            if choose is None:
-                policy.begin_frame(q_su, x_su)
-                p0, p1 = policy.p0_star, policy.p1_star
-                srv, suc = service[p0], success[p1]
+            adm = arrivals[bi]
+            bi += 1
+            if adm and q_su <= admit_cap:
+                q_su += adm
+                f_adm += adm
+                if q_su > max_q:
+                    max_q = q_su
+                    if q_su > q_bound:
+                        raise RuntimeError(_BOUND_ERROR % (q_su, q_bound))
+        if q_pu:
+            continue
+        # the busy run just ended the frame
+        f_len = base + bi - frame_start
+        x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, par.p_avg)
+        if not x_su >= 0.0:
+            raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
+        frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
+        if len(frame_rows) in switches:
+            lam_pu = switches[len(frame_rows)]
+            pu_arrival = (block[:, 4] < lam_pu).tobytes()
+        frame_start += f_len
+        f_idle = f_adm = f_srv = f_qsum = 0
+        f_pi = f_pc = 0.0
+        if len(frame_rows) == scenario.horizon_frames:
+            break
+        if choose is None:
+            policy.begin_frame(q_su, x_su)
+            p0, p1 = policy.p0_star, policy.p1_star
+            srv, suc = service[p0], success[p1]
 
     columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
     arrays = {
@@ -308,7 +330,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         window=scenario.window,
         **arrays,
         max_q_su=max_q,
-        partial_slots=slot - frame_start,
+        partial_slots=base + bi - frame_start,
         partial_admitted=f_adm,
         partial_served=f_srv,
         partial_power=f_pi + f_pc,
@@ -329,20 +351,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("COOPSIM_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError("COOPSIM_THREADS must be an integer") from exc
-        if cap < 1:
-            raise ValueError("COOPSIM_THREADS must be at least 1")
-    return max(1, min(n_tasks, cap))
-
-
 def sweep_v(
     scenario_template: Scenario, v_values: list[float]
 ) -> list[tuple[float, RunMetrics]]:
@@ -357,13 +365,4 @@ def sweep_v(
         )
         for i, v in enumerate(v_values)
     ]
-    workers = worker_count(len(scenarios))
-    if workers == 1:
-        results = [run_episode(s) for s in scenarios]
-    else:
-        # imported here: the pool machinery costs every other subcommand start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_episode, scenarios))
-    return list(zip([float(v) for v in v_values], results))
+    return [(float(v), run_episode(s)) for v, s in zip(v_values, scenarios)]

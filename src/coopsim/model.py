@@ -7,8 +7,8 @@ instead spend power during primary-busy slots to raise the primary's success
 probability. Time splits into frames: each frame is one idle run of the
 primary queue followed by one busy run, ending when the queue drains again.
 
-Everything here is a pure function or a plain record; simulation workers can
-each own their state with no sharing.
+Everything here is a pure function or a plain record; each episode owns its
+state and shares none.
 """
 
 from __future__ import annotations

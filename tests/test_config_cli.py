@@ -560,14 +560,19 @@ def test_sweep_and_oracle_writers_match_csv_writer(tmp_path):
         None, ORACLE_CSV_COLUMNS, [[1e16, 0.7 * 3, 1e-7, 5e-324, 0.1 + 0.2]])
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # sweep_v imports the pool only when it runs more than one worker
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # every subcommand runs in one process, whatever COOPSIM_THREADS says
+    root = README.parent
     src = str(Path(config.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "COOPSIM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, coopsim.cli; "
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+    code = ("import sys; from coopsim.cli import main; "
+            "code = main(['sweep', '--config', sys.argv[1], '--out-dir', sys.argv[2]]); "
+            "print(code, sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "reference.conf"), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+    committed = root / "out" / "reference" / "sweep.csv"
+    assert (tmp_path / "sweep.csv").read_bytes() == committed.read_bytes()

@@ -1,4 +1,4 @@
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,20 +178,6 @@ def test_sweep_seeds_and_ordering():
     assert single.throughput_admitted == direct.throughput_admitted
 
 
-def test_sweep_worker_env_cap(monkeypatch):
-    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=40, seed=5)
-    monkeypatch.setenv("COOPSIM_THREADS", "1")
-    seq = sweep_v(sc, [10, 20])
-    monkeypatch.setenv("COOPSIM_THREADS", "2")
-    par = sweep_v(sc, [10, 20])
-    for (v1, m1), (v2, m2) in zip(seq, par):
-        assert v1 == v2
-        assert np.array_equal(m1.frame_len, m2.frame_len)
-    monkeypatch.setenv("COOPSIM_THREADS", "zero")
-    with pytest.raises(ValueError, match="COOPSIM_THREADS"):
-        sweep_v(sc, [10, 20])
-
-
 @pytest.mark.parametrize("spec", [
     FBDPP,
     PolicySpec(kind="no_coop"),
@@ -287,12 +273,14 @@ def _reference_episode(scenario):
     f_pi = f_pc = 0.0
     seen_busy = False
     bi = 8192
+    blocks = 0
     if fbdpp:
         policy.begin_frame(q_su, x_su)
     while len(rows) < scenario.horizon_frames and slot < scenario.slot_cap:
         if bi == 8192:
             block = rng.random((8192, 5))
             arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su)
+            blocks += 1
             bi = 0
         u = block[bi]
         bi += 1
@@ -335,7 +323,8 @@ def _reference_episode(scenario):
     out = {name: np.asarray(col, dtype=dt)
            for name, col, dt in zip(FRAME_FIELDS, columns, dtypes)}
     out.update(max_q_su=max_q, partial_slots=slot - frame_start, partial_admitted=f_adm,
-               partial_served=f_srv, partial_power=f_pi + f_pc, partial_q_sum=f_qsum)
+               partial_served=f_srv, partial_power=f_pi + f_pc, partial_q_sum=f_qsum,
+               blocks=blocks)
     return out
 
 
@@ -371,6 +360,71 @@ def test_kernel_matches_one_slot_spec_quiet_primary(spec):
     ref = _reference_episode(sc)
     assert ref["partial_slots"] == 20_000
     _assert_same_metrics(run_episode(sc), ref)
+
+
+def _run_counting_blocks(monkeypatch, scenario):
+    """run_episode's metrics and the number of uniform blocks it turned into outcomes."""
+    import coopsim.engine as engine
+
+    blocks = [0]
+
+    def counted(*args):
+        blocks[0] += 1
+        return arrival_counts(*args)
+
+    monkeypatch.setattr(engine, "arrival_counts", counted)
+    return run_episode(scenario), blocks[0]
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("cap", [8192, 16384])
+def test_kernel_matches_one_slot_spec_cap_at_block_end(monkeypatch, spec, cap):
+    # the cap is the last row of a block: the episode stops without drawing the next one
+    sc = Scenario(params=REF, policy=spec, horizon_frames=5000, seed=9, max_slots=cap)
+    ref = _reference_episode(sc)
+    assert ref["frame_len"].sum() + ref["partial_slots"] == cap
+    assert ref["blocks"] == cap // 8192
+    m, blocks = _run_counting_blocks(monkeypatch, sc)
+    _assert_same_metrics(m, ref)
+    assert blocks == ref["blocks"]
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("phase", ["idle", "busy"])
+def test_kernel_matches_one_slot_spec_cap_inside_a_run(monkeypatch, spec, phase):
+    # the cap lands after the first slot of a run of two or more, in the second block
+    sc = Scenario(params=REF, policy=spec, horizon_frames=3000, seed=21)
+    full = _reference_episode(sc)
+    starts = np.cumsum(full["frame_len"]) - full["frame_len"]
+    idle_len = full["idle_len"]
+    run_len = idle_len if phase == "idle" else full["frame_len"] - idle_len
+    k = next(k for k in range(full["frame_len"].size) if starts[k] > 8192 and run_len[k] >= 2)
+    done = 1 if phase == "idle" else int(idle_len[k]) + 1     # slots of frame k in the cap
+    capped = replace(sc, max_slots=int(starts[k]) + done)
+    ref = _reference_episode(capped)
+    assert ref["frame_len"].size == k and ref["partial_slots"] == done
+    m, blocks = _run_counting_blocks(monkeypatch, capped)
+    _assert_same_metrics(m, ref)
+    assert blocks == ref["blocks"] == 2
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("params", [REF, GRID], ids=["two_point", "grid"])
+def test_kernel_matches_one_slot_spec_busy_run_ends_a_block(monkeypatch, params, spec):
+    # a frame's busy run ends on a block's last row, and the rate switches at that frame
+    for seed in range(200):
+        probe = run_episode(Scenario(params=params, policy=spec, horizon_frames=3000, seed=seed))
+        ends = np.flatnonzero(np.cumsum(probe.frame_len) % 8192 == 0)
+        if ends.size:
+            break
+    switch = int(ends[0]) + 1       # frames completed when the block ends
+    sc = Scenario(params=params, policy=spec, horizon_frames=switch + 500, seed=seed,
+                  lambda_schedule=((switch, 0.3),))
+    ref = _reference_episode(sc)
+    assert ref["frame_len"][:switch].sum() % 8192 == 0
+    m, blocks = _run_counting_blocks(monkeypatch, sc)
+    _assert_same_metrics(m, ref)
+    assert blocks == ref["blocks"]
 
 
 def test_virtual_backlog_checked_at_every_boundary(monkeypatch):

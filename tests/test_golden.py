@@ -18,8 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("adaptive", "rate_switch", ("frames.csv", "summary.csv")),
     ],
 )
-def test_committed_outputs_regenerate(tmp_path, monkeypatch, command, name, files):
-    monkeypatch.setenv("COOPSIM_THREADS", "1")
+def test_committed_outputs_regenerate(tmp_path, command, name, files):
     out = tmp_path / name
     config = ROOT / "configs" / f"{name}.conf"
     assert main([command, "--config", str(config), "--out-dir", str(out)]) == 0
