@@ -7,8 +7,10 @@ feed the gate. The always-cooperate policy additionally reserves the budget
 for cooperation: its idle-slot gate charges every busy slot seen so far at
 peak power, whether or not the gate was open then, so its own traffic only
 uses power that cooperation could never claim. Their one hook,
-``choose_power(idle)``, runs once per slot. None of them draws randomness;
-the best stationary randomized policy lives in ``oracle``.
+``choose_power(idle)``, runs once per slot and writes ``budget_gate`` inline,
+so a slot costs one call; a test holds every hook to ``budget_gate``. None of
+them draws randomness; the best stationary randomized policy lives in
+``oracle``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from .model import ModelParams
 
 
 def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
-    """Peak power while ``spend`` per elapsed slot is under the budget, else 0."""
+    """Peak power while ``spend`` per elapsed slot is under the budget, else 0.
+
+    The one statement of the gate. The hooks inline it with ``slots or 1``,
+    which is ``max(slots, 1)`` for any slot count of 0 or more.
+    """
     return p_max if spend / max(slots, 1) < p_avg else 0.0
 
 
@@ -41,7 +47,7 @@ class NoCoopPolicy(_OpenLoopPolicy):
     """Idle-only transmission at peak power, budget-gated."""
 
     def choose_power(self, idle: bool) -> float:
-        power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max) if idle else 0.0
+        power = self.p_max if idle and self.spend / (self.slots or 1) < self.p_avg else 0.0
         self.spend += power
         self.slots += 1
         return power
@@ -59,11 +65,11 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
         p_max = self.p_max
         if idle:
             reserved = self.busy_slots_seen * p_max + self.idle_power_spent
-            power = budget_gate(reserved, self.slots, self.p_avg, p_max)
+            power = p_max if reserved / (self.slots or 1) < self.p_avg else 0.0
             self.idle_power_spent += power
         else:
             self.busy_slots_seen += 1
-            power = budget_gate(self.spend, self.slots, self.p_avg, p_max)
+            power = p_max if self.spend / (self.slots or 1) < self.p_avg else 0.0
         self.spend += power
         self.slots += 1
         return power
@@ -73,7 +79,7 @@ class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
     def choose_power(self, idle: bool) -> float:
-        power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max)
+        power = self.p_max if self.spend / (self.slots or 1) < self.p_avg else 0.0
         self.spend += power
         self.slots += 1
         return power

@@ -247,12 +247,21 @@ class FrameDriftPenaltyPolicy:
     One instance belongs to one episode; ``begin_frame`` sets the
     current frame's power pair, ``p0_star`` for primary-idle slots and
     ``p1_star`` for primary-busy slots, which the engine reads once per frame.
+    ``FrameRule`` is a pure function of ``(q_su, x_su)``, and most frames
+    start from a pair an earlier frame of the episode already saw, so
+    ``decisions`` remembers each pair's powers and the rule runs only on a new
+    pair: at most one entry per frame, freed with the episode's policy.
     """
 
     def __init__(self, params: ModelParams):
         self.rule = FrameRule(params)
+        self.decisions: dict[tuple[int, float], tuple[float, float]] = {}
 
     def begin_frame(self, q_su: int, x_su: float) -> None:
-        rule = self.rule
-        self.p0_star, theta = rule.idle_power(q_su, x_su)
-        self.p1_star = rule.busy_power(theta, x_su)
+        key = (q_su, x_su)
+        pair = self.decisions.get(key)
+        if pair is None:
+            rule = self.rule
+            p0, theta = rule.idle_power(q_su, x_su)
+            pair = self.decisions[key] = (p0, rule.busy_power(theta, x_su))
+        self.p0_star, self.p1_star = pair

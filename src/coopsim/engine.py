@@ -321,7 +321,8 @@ def run_episode(scenario: Scenario) -> RunMetrics:
 
     columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
     arrays = {
-        name: np.asarray(col, dtype=dt) for (name, dt), col in zip(_FRAME_ARRAYS, columns)
+        name: np.fromiter(col, dt, count=len(col))
+        for (name, dt), col in zip(_FRAME_ARRAYS, columns)
     }
     metrics = RunMetrics(
         policy_label=spec.label(),

@@ -576,3 +576,31 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     assert out.splitlines()[-1] == "0 []"
     committed = root / "out" / "reference" / "sweep.csv"
     assert (tmp_path / "sweep.csv").read_bytes() == committed.read_bytes()
+
+
+def test_main_reuses_its_parser_without_changing_any_call(tmp_path, capsys):
+    # one process, three calls: each prints and writes the bytes the same
+    # call prints and writes in a fresh interpreter
+    cfg = write_config(tmp_path, BASE)
+    calls = [
+        ["run", "--config", str(cfg), "--out-dir", "{}/a"],
+        ["baselines", "--config", str(cfg), "--frames", "50"],
+        ["run", "--config", str(cfg), "--seed", "777", "--out-dir", "{}/b"],
+    ]
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys; from coopsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        assert main([a.format(tmp_path / "here") for a in argv]) == 0
+        here = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-c", code,
+                                *(a.format(tmp_path / "fresh") for a in argv)],
+                               env=env, capture_output=True, text=True, check=True).stdout
+        assert here == fresh
+    for sub in ("a", "b"):
+        for name in ("frames.csv", "summary.csv"):
+            here = (tmp_path / "here" / sub / name).read_bytes()
+            assert here == (tmp_path / "fresh" / sub / name).read_bytes()
+    assert (tmp_path / "here" / "a" / "frames.csv").read_bytes() != (
+        tmp_path / "here" / "b" / "frames.csv").read_bytes()

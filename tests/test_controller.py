@@ -16,6 +16,7 @@ from coopsim import (
     solve_p1,
     solve_p1_fading,
 )
+from coopsim.controller import FrameRule
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
@@ -389,3 +390,71 @@ def test_frame_decision_matches_the_rule_on_random_grids(n_levels):
             assert solve_p1(theta, x, par) == want[1]
             if par.power_set.two_point:
                 assert cooperation_threshold(theta, par) == _threshold_spec(theta, par)
+
+
+def _fresh_rule_pair(q, x, params):
+    """The frame decision from a ``FrameRule`` built for this one call."""
+    rule = FrameRule(params)
+    p0, theta = rule.idle_power(q, x)
+    return p0, rule.busy_power(theta, x)
+
+
+def _replay(pol, params, pairs):
+    """Drive ``begin_frame`` over ``pairs``; the decisions that differ from a fresh rule."""
+    wrong = []
+    for q, x in pairs:
+        pol.begin_frame(q, x)
+        got, want = (pol.p0_star, pol.p1_star), _fresh_rule_pair(q, x, params)
+        if repr(got) != repr(want):     # repr tells -0.0 from 0.0
+            wrong.append((q, x, got, want))
+    return wrong
+
+
+def test_remembered_decisions_match_a_fresh_rule_on_two_points():
+    # few distinct pairs, each seen many times, the reference tie among them
+    g = rng(31)
+    pool = [(2, 0.5)] + [(int(g.integers(0, 40)), 0.5 * int(g.integers(0, 80)))
+                         for _ in range(60)]
+    pairs = [pool[i] for i in g.integers(0, len(pool), 5000)]
+    pol = FrameDriftPenaltyPolicy(REF)
+    assert _replay(pol, REF, pairs) == []
+    # the tie still cooperates, remembered or not
+    for _ in range(2):
+        pol.begin_frame(2, 0.5)
+        assert (pol.p0_star, pol.p1_star) == (1.0, REF.p_max)
+
+
+@pytest.mark.parametrize("n_levels", [3, 4])
+def test_remembered_decisions_match_a_fresh_rule_on_random_grids(n_levels):
+    g = rng(40 + n_levels)
+    for _ in range(20):
+        par = random_params(g, n_levels=n_levels)
+        pool = [(int(g.integers(0, 300)), float(g.uniform(0, 100))) for _ in range(40)]
+        pairs = [pool[i] for i in g.integers(0, len(pool), 1000)]
+        assert _replay(FrameDriftPenaltyPolicy(par), par, pairs) == []
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+def test_remembered_decisions_do_not_depend_on_the_sign_of_zero(n_levels):
+    # -0.0 == 0.0 as a key, so whichever comes first answers for both
+    g = rng(50 + n_levels)
+    for _ in range(10):
+        par = random_two_point(g) if n_levels == 2 else random_params(g, n_levels=n_levels)
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            pairs = [(q, x) for q in range(50) for x in (first, second, first)]
+            assert _replay(FrameDriftPenaltyPolicy(par), par, pairs) == []
+            assert [_fresh_rule_pair(q, -0.0, par) for q in range(50)] == [
+                _fresh_rule_pair(q, 0.0, par) for q in range(50)]
+
+
+def test_policies_with_different_params_never_share_a_decision():
+    g = rng(60)
+    other = random_params(g, n_levels=3)
+    pool = [(int(g.integers(0, 60)), 0.25 * int(g.integers(0, 40))) for _ in range(50)]
+    pairs = [pool[i] for i in g.integers(0, len(pool), 2000)]
+    # the two models decide differently on some of the pool, so sharing would show
+    assert any(_fresh_rule_pair(q, x, REF) != _fresh_rule_pair(q, x, other) for q, x in pool)
+    a, b = FrameDriftPenaltyPolicy(REF), FrameDriftPenaltyPolicy(other)
+    for q, x in pairs:
+        assert _replay(a, REF, [(q, x)]) == []
+        assert _replay(b, other, [(q, x)]) == []
