@@ -62,9 +62,10 @@ def _write_csv(path: Path, meta_line: str | None, header, row_format: str, rows)
 
     Each row is a tuple written with one ``row_format % row``: ``%d`` for
     ints, ``%r`` for floats (repr round-trips bit for bit) and ``%s`` for
-    text. Lines end in CRLF like ``csv.writer``'s default dialect; no field
-    written here holds a comma, quote or newline, so none needs quoting and
-    the bytes are what ``csv.writer`` writes.
+    text, floats already formatted by repr included. Lines end in CRLF like
+    ``csv.writer``'s default dialect; no field written here holds a comma,
+    quote or newline, so none needs quoting and the bytes are what
+    ``csv.writer`` writes.
     """
     with open(path, "w", newline="") as fh:
         if meta_line is not None:
@@ -73,18 +74,34 @@ def _write_csv(path: Path, meta_line: str | None, header, row_format: str, rows)
         fh.write("".join(map((row_format + "\r\n").__mod__, rows)))
 
 
+class _ReprMemo(dict):
+    """``memo[x]`` is ``repr(x)``, each distinct nonzero float formatted once.
+
+    Zeros are formatted every time and never kept: ``0.0 == -0.0`` with one
+    hash, so a kept zero would lend its text to the other.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
+    # Frames repeat few power and x_su values, so each float column formats
+    # each of its distinct values once, through a memo of its own.
     rows = zip(
         range(1, metrics.frames + 1),
         metrics.frame_len.tolist(),
         metrics.admitted.tolist(),
         metrics.served.tolist(),
-        metrics.power_idle.tolist(),
-        metrics.power_coop.tolist(),
+        map(_ReprMemo().__getitem__, metrics.power_idle.tolist()),
+        map(_ReprMemo().__getitem__, metrics.power_coop.tolist()),
         metrics.q_su_end.tolist(),
-        metrics.x_su_end.tolist(),
+        map(_ReprMemo().__getitem__, metrics.x_su_end.tolist()),
     )
-    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%r,%r,%d,%r", rows)
+    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%s,%s,%d,%s", rows)
 
 
 def read_frames_csv(path: Path) -> dict[str, list]:

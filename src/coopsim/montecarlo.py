@@ -8,8 +8,9 @@ cumulative arrivals by one, so consecutive busy runs are the successive
 first-passage times of the walk sum(success - arrival) to levels 1, 2, 3...
 That observation lets millions of runs be drawn with a handful of numpy
 passes instead of a slot loop. The walk is drawn in fixed chunks, which fix
-the uniform stream, and run in smaller sub-blocks, which bound the memory:
-about 2 MiB plus 8 bytes per sampled run, at any sample count.
+the uniform stream, and run in cache-sized sub-blocks through buffers
+allocated once per call: about 2.4 MiB plus 24 bytes per sampled run
+(200,000 frames peak near 8.4 MiB), at any sample count.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 # slots of walk per chunk of sample_busy_periods; part of the uniform stream
 _CHUNK_SLOTS = 1 << 21
 # uniforms drawn, and walk slots run, per numpy pass within a chunk; not part
-# of the stream, only of the memory bound
-_SUB_SLOTS = 1 << 16
+# of the stream, and small enough that a sub-block's buffers stay in cache
+_SUB_SLOTS = 1 << 14
 
 
 def binomial_cdf(n: int, p: float) -> np.ndarray:
@@ -64,10 +65,12 @@ def sample_busy_periods(
     slots: all of a chunk's success uniforms, then all of its arrival
     uniforms. They are drawn ``_SUB_SLOTS`` at a time into one reused
     buffer; the successes are kept as one bool per slot, and the walk runs
-    one arrival sub-block at a time, carrying its value, until ``n_periods``
-    ends are found. The rest of the chunk is still drawn, so the generator
-    ends where a whole-chunk draw leaves it. Memory is about 2 MiB plus
-    8 bytes per period, however long the walk.
+    one arrival sub-block at a time, carrying its value into the first step,
+    until ``n_periods`` ends are found. The rest of the chunk is still
+    drawn, so the generator ends where a whole-chunk draw leaves it. Every
+    pass writes into buffers allocated once per call; memory is about
+    2.4 MiB plus 24 bytes per period (the run ends, and ``np.diff``'s copy
+    and result), however long the walk.
     """
     _check_count(n_periods, "n_periods")
     if not 0.0 <= lambda_pu < success_prob <= 1.0:
@@ -77,28 +80,39 @@ def sample_busy_periods(
     chunk_start = 0
     walk_carry = 0
     blocks = [(lo, min(lo + _SUB_SLOTS, _CHUNK_SLOTS)) for lo in range(0, _CHUNK_SLOTS, _SUB_SLOTS)]
-    u = np.empty(min(_SUB_SLOTS, _CHUNK_SLOTS))
+    sub = min(_SUB_SLOTS, _CHUNK_SLOTS)
+    u = np.empty(sub)
     dep = np.empty(_CHUNK_SLOTS, dtype=bool)
+    arr = np.empty(sub, dtype=bool)
+    new_level = np.empty(sub, dtype=bool)
+    # slot 0 holds `found`, slots 1.. the sub-block's walk, then its running max
+    high = np.empty(sub + 1, dtype=np.int64)
     while found < n_periods:
         for lo, hi in blocks:
             np.less(rng.random(out=u[: hi - lo]), success_prob, out=dep[lo:hi])
         for lo, hi in blocks:
-            arr = rng.random(out=u[: hi - lo]) < lambda_pu
+            m = hi - lo
+            rng.random(out=u[:m])
             if found == n_periods:
                 continue
-            walk = np.cumsum(np.subtract(dep[lo:hi], arr, dtype=np.int64))
-            walk += walk_carry
-            # Levels above `found` lie above every earlier walk value, so the
-            # sub-block's own running maximum reaches each one first where
-            # the walk does.
-            running_max = np.maximum.accumulate(walk)
-            reachable = min(n_periods, int(running_max[-1]))
-            if reachable > found:
-                levels = np.arange(found + 1, reachable + 1, dtype=np.int64)
-                idx = np.searchsorted(running_max, levels, side="left")
-                ends[found:reachable] = idx + (chunk_start + lo)
-                found = reachable
+            walk = high[1 : m + 1]
+            np.subtract(dep[lo:hi], np.less(u[:m], lambda_pu, out=arr[:m]), out=walk,
+                        dtype=np.int64)
+            walk[0] += walk_carry
+            np.cumsum(walk, out=walk)
             walk_carry = int(walk[-1])
+            # Levels above `found` lie above every earlier walk value, so the
+            # running maximum seeded with `found` is the walk's running
+            # maximum since its start, and it rises by one exactly where the
+            # walk first reaches a level.
+            high[0] = found
+            np.maximum.accumulate(high[: m + 1], out=high[: m + 1])
+            if high[m] == found:
+                continue
+            np.greater(high[1 : m + 1], high[:m], out=new_level[:m])
+            idx = np.flatnonzero(new_level[:m])[: n_periods - found]
+            ends[found : found + len(idx)] = idx + (chunk_start + lo)
+            found += len(idx)
         chunk_start += _CHUNK_SLOTS
     return np.diff(ends, prepend=-1)
 

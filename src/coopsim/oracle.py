@@ -30,8 +30,9 @@ import numpy as np
 from .model import ModelParams
 from .montecarlo import arrival_counts
 
-# rows of uniforms drawn at a time by simulate_stationary; 2 MiB per block
-_CHUNK_ROWS = 1 << 16
+# rows of uniforms drawn at a time by simulate_stationary: 0.5 MiB per block
+# and under 2 MiB of buffers in all, so each pass over a block runs in cache
+_CHUNK_ROWS = 1 << 14
 # q rows scanned at a time by grid_search; 0.5 MiB per array at step 1e-3
 _GRID_ROWS = 64
 
@@ -195,10 +196,11 @@ def grid_search(
     ValueError when ``q_fixed`` is outside [0, 1] or no grid point meets the
     budget.
 
-    The grid is scanned ``_GRID_ROWS`` q rows at a time, so memory does not
-    grow with 1/step^2. Within a block ``argmax`` keeps the first maximum in
-    scan order, and a later block replaces the best point only when strictly
-    better, which is the same tie rule over the whole grid.
+    The grid is scanned ``_GRID_ROWS`` q rows at a time into buffers
+    allocated once per call, so memory does not grow with 1/step^2. Within a
+    block ``argmax`` keeps the first maximum in scan order, and a later block
+    replaces the best point only when strictly better, which is the same tie
+    rule over the whole grid.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
@@ -213,36 +215,28 @@ def grid_search(
     p = np.arange(0.0, 1.0 + step / 2, step)
     p[-1] = min(p[-1], 1.0)
     pi_0, coop = _occupancy(params, q)
+    m_pi_0 = m * pi_0
+    shape = (min(_GRID_ROWS, len(q)), len(p))
+    power_buf, ups_buf, over_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     best, best_q, best_p = -np.inf, 0.0, 0.0
     for lo in range(0, len(q), _GRID_ROWS):
         rows = slice(lo, lo + _GRID_ROWS)
-        power = coop[rows, None] + pi_0[rows, None] * p[None, :] * P
-        ups = np.minimum(params.lambda_su, m * pi_0[rows, None] * p[None, :])
-        ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
+        k = len(q[rows])
+        power, ups, over = power_buf[:k], ups_buf[:k], over_buf[:k]
+        # coop + pi_0 * p * P and min(lambda_su, m * pi_0 * p), product by product
+        np.multiply(pi_0[rows, None], p, out=power)
+        np.multiply(power, P, out=power)
+        np.add(coop[rows, None], power, out=power)
+        np.logical_not(np.less_equal(power, params.p_avg + 1e-12, out=over), out=over)
+        np.multiply(m_pi_0[rows, None], p, out=ups)
+        np.minimum(params.lambda_su, ups, out=ups)
+        np.copyto(ups, -np.inf, where=over)
         i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
         if ups[i, j] > best:
             best, best_q, best_p = ups[i, j], q[lo + i], p[j]
     if best == -np.inf:
         raise ValueError(f"no grid point meets p_avg={params.p_avg:g}")
     return _policy_at(params, float(best_q), float(best_p))
-
-
-def _backlog_after_service(inflow: np.ndarray, service: np.ndarray, backlog: int) -> np.ndarray:
-    """Lindley recursion b(t) = max(b(t-1) + inflow(t) - service(t), 0), b(-1) = backlog.
-
-    The closed form is the walk S(t) = sum of inflow - service up to t, lifted
-    by the deepest point it has reached below -backlog.
-    """
-    walk = np.cumsum(inflow - service)
-    return walk - np.minimum(np.minimum.accumulate(walk), -backlog)
-
-
-def _delayed(values: np.ndarray, first: int) -> np.ndarray:
-    """``values`` one slot later, with ``first`` (carried from the last block) in slot 0."""
-    out = np.empty(len(values), dtype=np.int64)
-    out[0] = first
-    out[1:] = values[:-1]
-    return out
 
 
 def simulate_stationary(
@@ -257,13 +251,18 @@ def simulate_stationary(
     Slot t reads four uniforms: secondary arrivals, the mixing coin (q when
     busy, p when idle), the success coin and the primary arrival. Both queues
     are Lindley recursions q(t+1) = max(q(t) - s(t), 0) + a(t) whose service
-    draws s do not depend on the state, so each runs as a cumulative sum and
-    a running minimum instead of a slot loop. The primary's service is drawn
-    in every slot, since max(0 - s, 0) = 0 in an idle one; the secondary is
-    served in idle slots only, and ``served`` is its arrivals less its final
-    backlog. The uniforms come in blocks of ``_CHUNK_ROWS`` rows, which is
-    the same stream as one horizon-by-4 draw, and each queue carries its
-    backlog and last arrival across blocks, so memory does not grow with the
+    draws s do not depend on the state, so each runs as a cumulative sum
+    instead of a slot loop. The primary's service is drawn in every slot,
+    since max(0 - s, 0) = 0 in an idle one, and its running minimum gives
+    the backlog, hence idleness, of every slot. The secondary is served in
+    idle slots only; only its final backlog is read, which takes the walk's
+    minimum, and ``served`` is its arrivals less that backlog.
+
+    The uniforms come in blocks of ``_CHUNK_ROWS`` rows, drawn into one
+    reused buffer (the same stream as one horizon-by-4 draw) and turned into
+    columns once, so every pass reads contiguous memory. Every pass writes
+    into buffers allocated once per call, and each queue carries its backlog
+    and last arrival across blocks, so memory does not grow with the
     horizon. Powered slots are charged p_max one at a time, in slot order,
     so the float total equals a slot loop's bit for bit.
     """
@@ -272,33 +271,68 @@ def simulate_stationary(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     P = params.p_max
     mu = params.mu_su_of(P)
-    pu_backlog = pu_last = su_backlog = su_last = 0
-    arrived = idle_slots = 0
+    size = min(_CHUNK_ROWS, horizon_slots)
+    rows = np.empty((size, 4))
+    cols = np.empty((4, size))
+    flags = np.empty((5, size), dtype=bool)
+    # slot 0 holds the last arrival of the previous block, slots 1.. this block's
+    pu_arrivals = np.zeros(size + 1, dtype=bool)
+    su_arrivals = np.zeros(size + 1, dtype=np.int64)
+    pu_walk = np.zeros(size + 1, dtype=np.int32)     # slot 0 is the walk's start
+    pu_before = np.empty(size + 1, dtype=np.int32)
+    su_walk = np.empty(size, dtype=np.int64)
+    charges = np.full(size + 1, P)
+    charged = np.empty(size + 1)
+    pu_backlog = su_backlog = arrived = idle_slots = 0
     power_total = 0.0
-    for start in range(0, horizon_slots, _CHUNK_ROWS):
-        u = rng.random((min(_CHUNK_ROWS, horizon_slots - start), 4))
-        tx = u[:, 1] < policy.idle_tx_prob
-        coop = u[:, 1] < policy.coop_prob
-        pu_success = np.where(coop, u[:, 2] < params.phi_c, u[:, 2] < params.phi_nc)
-        pu_arrivals = u[:, 3] < params.lambda_pu
+    for start in range(0, horizon_slots, size):
+        n = min(size, horizon_slots - start)
+        u_su, u_mix, u_success, u_pu = cols[:, :n]
+        np.copyto(cols[:, :n], rng.random(out=rows[:n]).T)
+        tx, coop, success, idle, both = flags[:, :n]
+        np.less(u_mix, policy.idle_tx_prob, out=tx)
+        np.less(u_mix, policy.coop_prob, out=coop)
+        # success: u < phi_c when cooperating, u < phi_nc when not; phi_nc <=
+        # phi_c (ModelParams checks it), so u < phi_nc succeeds either way
+        np.less(u_success, params.phi_nc, out=success)
+        np.less(u_success, params.phi_c, out=both)
+        np.logical_and(both, coop, out=both)
+        np.logical_or(success, both, out=success)
         # an arrival in slot t is first served in slot t + 1
-        pu_inflow = _delayed(pu_arrivals, pu_last)
-        pu_after = _backlog_after_service(pu_inflow, pu_success, pu_backlog)
-        idle = _delayed(pu_after, pu_backlog) + pu_inflow == 0
-        su_success = idle & tx & (u[:, 2] < mu)
-        su_arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su)
-        su_after = _backlog_after_service(
-            _delayed(su_arrivals, su_last), su_success, su_backlog
-        )
-        pu_backlog, pu_last = int(pu_after[-1]), int(pu_arrivals[-1])
-        su_backlog, su_last = int(su_after[-1]), int(su_arrivals[-1])
-        arrived += int(su_arrivals.sum())
+        np.less(u_pu, params.lambda_pu, out=pu_arrivals[1:n + 1])
+        inflow = pu_arrivals[:n]
+        pu = pu_walk[:n + 1]
+        np.subtract(inflow, success, out=pu[1:], dtype=np.int32)
+        np.cumsum(pu[1:], out=pu[1:])
+        # The walk falls at most one a slot, so a backlog above n cannot empty
+        # within this block: capping it there keeps every value within int32
+        # and every slot's emptiness the same.
+        cap = min(pu_backlog, n + 1)
+        before = pu_before[:n + 1]      # backlog after slot t - 1, t = 0..n
+        np.minimum.accumulate(pu, out=before)
+        np.minimum(before, -cap, out=before)
+        np.subtract(pu, before, out=before)
+        pu_backlog += int(before[n]) - cap
+        np.add(before[:n], inflow, out=before[:n])
+        np.equal(before[:n], 0, out=idle)
+        pu_arrivals[0] = pu_arrivals[n]
         idle_slots += int(np.count_nonzero(idle))
-        powered = np.count_nonzero(np.where(idle, tx, coop))
-        charges = np.full(powered + 1, P)
+        # powered slots: cooperating busy ones, then transmitting idle ones
+        powered = np.count_nonzero(coop) - np.count_nonzero(
+            np.logical_and(idle, coop, out=both))
+        np.logical_and(idle, tx, out=both)
+        powered += np.count_nonzero(both)
+        su_served = np.less(u_success, mu, out=tx)
+        np.logical_and(su_served, both, out=su_served)
+        su_arrivals[1:n + 1] = arrival_counts(u_su, params.a_max, params.lambda_su)
+        arrived += int(su_arrivals[1:n + 1].sum())
+        su = np.subtract(su_arrivals[:n], su_served, out=su_walk[:n])
+        np.cumsum(su, out=su)
+        su_backlog = int(su[-1]) - min(int(su.min()), -su_backlog)
+        su_arrivals[0] = su_arrivals[n]
         charges[0] = power_total
-        power_total = float(np.cumsum(charges)[-1])
-    served = arrived - (su_backlog + su_last)
+        power_total = float(np.cumsum(charges[:powered + 1], out=charged[:powered + 1])[-1])
+    served = arrived - (su_backlog + int(su_arrivals[0]))
     return StationarySimResult(
         throughput=served / horizon_slots,
         avg_power=power_total / horizon_slots,

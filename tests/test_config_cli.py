@@ -19,6 +19,7 @@ from coopsim.cli import (
     ORACLE_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    _write_csv,
     build_parser,
     main,
     read_frames_csv,
@@ -530,6 +531,22 @@ def test_episode_writers_match_csv_writer(tmp_path, v):
     assert cols["power_coop"] == m.power_coop.tolist()
     assert cols["x_su_end"] == m.x_su_end.tolist()
     assert cols["q_su_end"] == m.q_su_end.tolist()
+
+
+def test_frames_writer_memo_keeps_each_float_text(tmp_path):
+    # Signed zeros compare equal and share a hash, so a memo keyed on the float
+    # could give one the other's text; nan equals nothing, not even itself.
+    values = np.array([0.0, -0.0, np.nan, 0.1, 0.1 + 0.2, 0.7 * 3, -0.0, 0.0, 1e16, 5e-324,
+                       np.nan, -0.1, 0.3, 0.1 + 0.2, -np.inf])
+    k = np.arange(3 * len(values))
+    m = replace(_crafted_metrics(len(k)), power_idle=np.resize(values, len(k)),
+                power_coop=np.resize(values[::-1], len(k)), x_su_end=np.resize(values[1:], len(k)))
+    write_frames_csv(tmp_path / "frames.csv", m)
+    _write_csv(tmp_path / "plain.csv", _meta(m), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%r,%r,%d,%r",
+               _frames_rows(m))
+    written = (tmp_path / "frames.csv").read_bytes()
+    assert written == (tmp_path / "plain.csv").read_bytes()
+    assert b",-0.0," in written and b",0.0," in written and b",nan," in written
 
 
 def test_zero_frame_episode_writes_header_only(tmp_path):
