@@ -20,12 +20,10 @@ from .controller import (
     FadeState,
     FadingModel,
     FrameDriftPenaltyPolicy,
+    FrameRule,
     MultiUserDecision,
     admit,
-    cooperation_threshold,
     solve_multiuser_frame,
-    solve_p0,
-    solve_p1,
     solve_p1_fading,
 )
 from .engine import (

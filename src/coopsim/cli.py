@@ -19,9 +19,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import busy_period_moments, drift_constants, throughput_lower_bound
+from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
 from .engine import RNG_NAME, PolicySpec, RunMetrics, Scenario, run_episode, sweep_v
+from .model import ModelParams
 from .oracle import (
     StationaryPolicy,
     grid_search,
@@ -190,9 +191,8 @@ def _complete(scenario: Scenario, metrics: RunMetrics) -> RunMetrics:
     return metrics
 
 
-def _episode(args: argparse.Namespace) -> RunMetrics:
+def _episode(cfg: RunConfig) -> RunMetrics:
     """Run one configured episode, write its CSVs and print its summary."""
-    cfg = _load_config(args)
     scenario = cfg.build_scenario()
     metrics = _complete(scenario, run_episode(scenario))
     out = _out_dir(cfg)
@@ -203,13 +203,14 @@ def _episode(args: argparse.Namespace) -> RunMetrics:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _episode(args)
+    _episode(_load_config(args))
     return 0
 
 
 def cmd_adaptive(args: argparse.Namespace) -> int:
-    metrics = _episode(args)
-    coop_ma = metrics.moving_average("coop_power")
+    cfg = _load_config(args)
+    metrics = _episode(cfg)
+    coop_ma = metrics.moving_average("coop_power", cfg.get("window", 100))
     if metrics.frames >= 1:
         for k in sorted({k for k in (100, 300, 500, 700, 900, metrics.frames)
                          if k <= metrics.frames}):
@@ -247,13 +248,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.grid_step is not None:
             policy = grid_search(params, args.grid_step, q_fixed=args.force_q)
             note = f"grid(step={args.grid_step:g})"
-        elif not params.power_set.two_point:
-            print(
-                "error: closed-form oracle needs a two-point power set; "
-                "rerun with --grid-step to scan the (q, p) grid instead",
-                file=sys.stderr,
-            )
-            return 1
         elif args.force_q is not None:
             policy = optimal_at_q(params, args.force_q)
             note = f"closed-form(q={args.force_q:g} forced)"
@@ -279,10 +273,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _drift_constants(params: ModelParams) -> DriftConstants:
+    """``drift_constants(params)``; a model it cannot bound (lambda_pu = 0) is a config error."""
+    try:
+        return drift_constants(params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     params = cfg.build_params()
-    constants = drift_constants(params)
+    constants = _drift_constants(params)
     e_b, e_b2 = busy_period_moments(params.lambda_pu, params.phi_nc)
     print(f"t_min={constants.t_min!r}")
     print(f"t_max={constants.t_max!r}")
@@ -309,7 +311,7 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     scenario = cfg.build_scenario()
     params = scenario.params
-    constants = drift_constants(params)
+    constants = _drift_constants(params)
     # Enough frames that every row sees >= ~1e5 slots, unless the caller
     # pinned the horizon explicitly.
     if args.frames is not None:

@@ -75,11 +75,14 @@ def _policy(text: str) -> str:
     return kind
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_from(low: int):
+    """Parser of an int refused below ``low``: ``seed`` from 0, ``window`` from 1."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _schedule(text: str) -> tuple[tuple[int, float], ...]:
@@ -103,8 +106,8 @@ _KEYS = {
     "v": _positive,
     "v_list": _v_list,
     "frames": int,
-    "seed": _non_negative_int,
-    "window": int,
+    "seed": _int_from(0),
+    "window": _int_from(1),
     "lambda_schedule": _schedule,
     "max_slots": int,
     "out_dir": str,
@@ -206,7 +209,6 @@ class RunConfig:
                 phi=phi,
                 mu_su=mu_su,
                 p_avg=self.get("p_avg"),
-                p_max=p_max,
                 power_set=power_set,
             )
         except ValueError as exc:
@@ -229,7 +231,6 @@ class RunConfig:
                 horizon_frames=self.get("frames", 1000),
                 seed=self.get("seed", 1),
                 lambda_schedule=self.get("lambda_schedule", ()),
-                window=self.get("window", 100),
                 max_slots=self.get("max_slots", None),
             )
         except ValueError as exc:

@@ -20,11 +20,11 @@ replay deterministically.
 
 ``FrameRule`` holds the only copy of both rules, over per-level tables built
 once from the model, so a frame decision does no per-level map or property
-lookup. The controller keeps one per policy, ``solve_multiuser_frame`` one
-per user, and ``solve_p0``/``solve_p1``/``cooperation_threshold`` one per
-call. The threshold is ``theta * (phi_c - phi_nc) / (p_max * phi_nc)`` with
-the numerator and denominator precomputed and the product taken first, which
-keeps it the same float as the closed form.
+lookup. It is the one way in: the controller keeps one per policy and
+``solve_multiuser_frame`` one per user. The threshold is
+``theta * (phi_c - phi_nc) / (p_max * phi_nc)`` with the numerator and
+denominator precomputed and the product taken first, which keeps it the same
+float as the closed form.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ class FrameRule:
         self.coop_den = params.p_max * params.phi_nc
 
     def idle_power(self, q_su_frame: float, x_su_frame: float) -> tuple[float, float]:
-        """Maximize ``q_su * mu_su(P) - x_su * P``; returns (power, attained value)."""
+        """Maximize ``q_su * mu_su(P) - x_su * P``; returns (power, attained value).
+
+        The value at power 0 is ``q_su * mu_su(0) >= 0``, so it is never negative.
+        """
         best_p = 0.0
         best_val = None
         for p, mu in self.idle:
@@ -114,40 +117,18 @@ class FrameRule:
         return best_p, best_val
 
     def busy_power(self, theta_star: float, x_su_frame: float) -> float:
-        """The busy-slot power: the scan's, or the threshold's on a two-point set."""
+        """The busy-slot power: the scan's, or the threshold's on a two-point set.
+
+        At the threshold itself the rule does not cooperate. On {0, p_max} the
+        two agree except at exact ties of the two objectives, where the rounded
+        threshold can land just above ``x_su_frame`` and the rule then picks
+        p_max, against the lower-power tie rule the scan keeps. At the
+        reference point, q_su = 2 and x_su = 0.5 give theta = 1.5, both
+        objectives equal 2.5, and the threshold rounds to 0.5000000000000002.
+        """
         if self.two_point:
             return 0.0 if x_su_frame >= self.threshold(theta_star) else self.p_max
         return self.busy_scan(theta_star, x_su_frame)[0]
-
-
-def solve_p0(
-    q_su_frame: float, x_su_frame: float, params: ModelParams
-) -> tuple[float, float]:
-    """Pick the idle-slot power; returns (power, attained objective).
-
-    The objective at power 0 is q_su * mu_su(0) >= 0, so the attained value
-    is never negative.
-    """
-    return FrameRule(params).idle_power(q_su_frame, x_su_frame)
-
-
-def cooperation_threshold(theta_star: float, params: ModelParams) -> float:
-    """Virtual-backlog level above which cooperation stops paying off."""
-    return FrameRule(params).threshold(theta_star)
-
-
-def solve_p1(theta_star: float, x_su_frame: float, params: ModelParams) -> float:
-    """Pick the busy-slot cooperation power.
-
-    Two-point sets use the threshold rule (boundary means do not cooperate);
-    general grids scan the ratio objective directly. On {0, p_max} the two
-    agree except at exact ties of the two objectives, where the rounded
-    threshold can land just above ``x_su_frame`` and the rule then picks
-    p_max, against the lower-power tie rule the scan keeps. At the reference
-    point, q_su = 2 and x_su = 0.5 give theta = 1.5, both objectives equal
-    2.5, and the threshold rounds to 0.5000000000000002.
-    """
-    return FrameRule(params).busy_power(theta_star, x_su_frame)
 
 
 @dataclass(frozen=True)
@@ -244,9 +225,9 @@ def solve_p1_fading(
 class FrameDriftPenaltyPolicy:
     """Frame policy: recompute the two powers at every frame boundary.
 
-    One instance belongs to one episode; ``begin_frame`` sets the
-    current frame's power pair, ``p0_star`` for primary-idle slots and
-    ``p1_star`` for primary-busy slots, which the engine reads once per frame.
+    One instance belongs to one episode; ``begin_frame`` returns the
+    current frame's power pair ``(p0, p1)``, p0 for primary-idle slots and p1
+    for primary-busy slots, which the engine uses for the whole frame.
     ``FrameRule`` is a pure function of ``(q_su, x_su)``, and most frames
     start from a pair an earlier frame of the episode already saw, so
     ``decisions`` remembers each pair's powers and the rule runs only on a new
@@ -257,11 +238,11 @@ class FrameDriftPenaltyPolicy:
         self.rule = FrameRule(params)
         self.decisions: dict[tuple[int, float], tuple[float, float]] = {}
 
-    def begin_frame(self, q_su: int, x_su: float) -> None:
+    def begin_frame(self, q_su: int, x_su: float) -> tuple[float, float]:
         key = (q_su, x_su)
         pair = self.decisions.get(key)
         if pair is None:
             rule = self.rule
             p0, theta = rule.idle_power(q_su, x_su)
             pair = self.decisions[key] = (p0, rule.busy_power(theta, x_su))
-        self.p0_star, self.p1_star = pair
+        return pair

@@ -5,11 +5,12 @@ the kernel runs it as two inner loops: the idle-run loop ends with the slot
 of the frame's first primary arrival, the busy-run loop when the primary
 queue empties, which closes the frame. Both also stop at the uniform block's
 last row or at the slot cap, whichever comes first. fbdpp's one hook,
-``begin_frame(q_su, x_su)``, sets the ``p0_star``/``p1_star`` read for the
-whole frame, once, at its first slot. The open-loop kinds (``no_coop``,
-``always_coop``, ``counter``) gate on the running spend, so their
-``choose_power(idle)`` runs once per slot; the power it returns is spent
-whether or not the secondary queue has a packet. No policy draws randomness.
+``begin_frame(q_su, x_su)``, runs once per frame, at its first slot, and
+returns the frame's ``(p0, p1)`` power pair. The open-loop kinds
+(``no_coop``, ``always_coop``, ``counter``) gate on the running spend, so
+their ``choose_power(idle)`` runs once per slot; the power it returns is
+spent whether or not the secondary queue has a packet. No policy draws
+randomness.
 The engine does admission and both queue steps inline, and only a slot with
 a secondary arrival runs the admission and backlog-bound code: fbdpp admits
 while the backlog is at most v, the others always. ``step_pu_queue``,
@@ -79,18 +80,17 @@ class Scenario:
     horizon_frames: int
     seed: int
     lambda_schedule: tuple[tuple[int, float], ...] = ()
-    window: int = 100
     max_slots: int | None = None
 
     def __post_init__(self) -> None:
         if self.horizon_frames < 1:
             raise ValueError("horizon_frames must be at least 1")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         if self.max_slots is not None and self.max_slots < 1:
             raise ValueError("max_slots must be at least 1")
         last = 0
         for frame_index, new_lam in self.lambda_schedule:
+            if frame_index < 1:
+                raise ValueError("schedule frame indices must be at least 1")
             if frame_index <= last:
                 raise ValueError("schedule frame indices must be strictly increasing")
             last = frame_index
@@ -137,7 +137,6 @@ class RunMetrics:
     policy_label: str
     v: float | None
     seed: int
-    window: int
     frame_len: np.ndarray
     admitted: np.ndarray
     served: np.ndarray
@@ -183,8 +182,8 @@ class RunMetrics:
     def avg_q_su(self) -> float:
         return self._per_slot(self.q_sum.sum(), self.partial_q_sum)
 
-    def moving_average(self, series: str, window: int | None = None) -> np.ndarray:
-        """Per-slot rate of ``series`` over a trailing window of frames.
+    def moving_average(self, series: str, window: int) -> np.ndarray:
+        """Per-slot rate of ``series`` over a trailing ``window`` of frames.
 
         Series: ``coop_power``, ``idle_power``, ``throughput_admitted``,
         ``throughput_served``. Early frames use the available prefix.
@@ -197,13 +196,12 @@ class RunMetrics:
         }
         if series not in arrays:
             raise ValueError(f"unknown series {series!r}")
-        w = self.window if window is None else window
-        if w < 1:
+        if window < 1:
             raise ValueError("window must be at least 1")
         num = np.concatenate([[0.0], np.cumsum(arrays[series], dtype=float)])
         den = np.concatenate([[0.0], np.cumsum(self.frame_len, dtype=float)])
         k = np.arange(1, self.frames + 1)
-        lo = np.maximum(0, k - w)
+        lo = np.maximum(0, k - window)
         return (num[k] - num[lo]) / (den[k] - den[lo])
 
 
@@ -237,8 +235,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
 
     p0 = p1 = 0.0
     if choose is None:
-        policy.begin_frame(q_su, x_su)
-        p0, p1 = policy.p0_star, policy.p1_star
+        p0, p1 = policy.begin_frame(q_su, x_su)
     while True:
         if bi == lim:
             base += bi
@@ -315,8 +312,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         if len(frame_rows) == scenario.horizon_frames:
             break
         if choose is None:
-            policy.begin_frame(q_su, x_su)
-            p0, p1 = policy.p0_star, policy.p1_star
+            p0, p1 = policy.begin_frame(q_su, x_su)
             srv, suc = service[p0], success[p1]
 
     columns = list(zip(*frame_rows)) or [()] * len(_FRAME_ARRAYS)
@@ -328,7 +324,6 @@ def run_episode(scenario: Scenario) -> RunMetrics:
         policy_label=spec.label(),
         v=spec.v,
         seed=scenario.seed,
-        window=scenario.window,
         **arrays,
         max_q_su=max_q,
         partial_slots=base + bi - frame_start,

@@ -69,7 +69,8 @@ class ModelParams:
     ``phi`` maps secondary power spent during a busy slot to the primary's
     per-slot success probability (non-decreasing). ``mu_su`` maps power spent
     in an idle slot to the secondary's own Bernoulli service probability.
-    Both maps must be defined on every level of ``power_set``.
+    Both maps must be defined on every level of ``power_set``, whose top
+    level is the peak power ``p_max``.
     """
 
     lambda_pu: float            # primary arrival probability per slot
@@ -78,7 +79,6 @@ class ModelParams:
     phi: Mapping[float, float]
     mu_su: Mapping[float, float]
     p_avg: float                # long-term average power budget
-    p_max: float                # peak power per slot
     power_set: PowerSet
 
     def __post_init__(self) -> None:
@@ -90,8 +90,6 @@ class ModelParams:
             raise ValueError("a_max must be at least 1")
         if not 0.0 < self.p_avg <= self.p_max:
             raise ValueError("p_avg must lie in (0, p_max]")
-        if self.power_set.p_max != self.p_max:
-            raise ValueError("power_set peak must equal p_max")
         for p in self.power_set.levels:
             if p not in self.phi:
                 raise ValueError(f"phi undefined at power level {p}")
@@ -130,9 +128,13 @@ class ModelParams:
             phi={0.0: phi_nc, float(p_max): phi_c},
             mu_su={0.0: 0.0, float(p_max): mu_su_max},
             p_avg=p_avg,
-            p_max=float(p_max),
             power_set=ps,
         )
+
+    @property
+    def p_max(self) -> float:
+        """Peak power per slot: the power set's top level."""
+        return self.power_set.p_max
 
     @property
     def phi_nc(self) -> float:
@@ -147,12 +149,6 @@ class ModelParams:
     @property
     def mu_max(self) -> float:
         return max(self.mu_su[p] for p in self.power_set.levels)
-
-    def phi_of(self, power: float) -> float:
-        return self.phi[power]
-
-    def mu_su_of(self, power: float) -> float:
-        return self.mu_su[power]
 
 
 def step_pu_queue(q_pu: int, pu_success: bool, arrival: int) -> int:

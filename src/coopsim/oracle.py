@@ -57,8 +57,8 @@ class StationarySimResult:
 def _require_two_point(params: ModelParams) -> None:
     if not params.power_set.two_point:
         raise ValueError(
-            "closed-form oracle needs a two-point power set; "
-            "use grid_search for general grids"
+            "closed-form oracle needs a two-point power set; scan the "
+            "(q, p) grid with grid_search (oracle --grid-step) instead"
         )
 
 
@@ -82,7 +82,7 @@ def _best_p(params: ModelParams, q):
 def _policy_at(params: ModelParams, q: float, p: float) -> StationaryPolicy:
     pi_0 = _occupancy(params, q)[0]
     power = (1.0 - pi_0) * q * params.p_max + pi_0 * p * params.p_max
-    ups = min(params.lambda_su, pi_0 * p * params.mu_su_of(params.p_max))
+    ups = min(params.lambda_su, pi_0 * p * params.mu_su[params.p_max])
     return StationaryPolicy(
         coop_prob=q, idle_tx_prob=p, upsilon=ups, pi_0=pi_0, power_used=power
     )
@@ -98,7 +98,7 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
     _require_two_point(params)
     lam = params.lambda_pu
     P = params.p_max
-    m = params.mu_su_of(P)
+    m = params.mu_su[P]
     delta = params.phi_c - params.phi_nc
 
     def full_cost(q: float) -> float:     # power when p = 1
@@ -156,7 +156,7 @@ def _best_on_q_grid(params: ModelParams, step: float) -> float:
     q = np.arange(0.0, 1.0 + step / 2, step)
     q[-1] = 1.0
     pi_0, p = _best_p(params, q)
-    ups = np.minimum(params.lambda_su, params.mu_su_of(params.p_max) * pi_0 * p)
+    ups = np.minimum(params.lambda_su, params.mu_su[params.p_max] * pi_0 * p)
     return float(ups.max())
 
 
@@ -177,7 +177,7 @@ def optimal_at_q(params: ModelParams, q: float) -> StationaryPolicy:
     pi_0, p = _best_p(params, q)
     if p < 0.0:
         raise ValueError(f"cooperation at q={q:g} alone exceeds p_avg={params.p_avg:g}")
-    m = params.mu_su_of(params.p_max)
+    m = params.mu_su[params.p_max]
     # no more idle transmission than it takes to serve every arrival
     p = min(p, params.lambda_su / (m * pi_0)) if m > 0.0 else 0.0
     return _policy_at(params, float(q), float(p))
@@ -205,7 +205,7 @@ def grid_search(
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     P = params.p_max
-    m = params.mu_su_of(P)
+    m = params.mu_su[P]
     if q_fixed is None:
         q = np.arange(0.0, 1.0 + step / 2, step)
         q[-1] = min(q[-1], 1.0)
@@ -270,7 +270,7 @@ def simulate_stationary(
         raise ValueError("horizon must be at least one slot")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     P = params.p_max
-    mu = params.mu_su_of(P)
+    mu = params.mu_su[P]
     size = min(_CHUNK_ROWS, horizon_slots)
     rows = np.empty((size, 4))
     cols = np.empty((4, size))

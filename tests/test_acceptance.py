@@ -197,10 +197,9 @@ def test_07_adaptive_scenario():
         horizon_frames=1000,
         seed=BASE_SEED + 8,
         lambda_schedule=((350, 0.2), (700, 0.55)),
-        window=100,
     )
     m = run_episode(sc)
-    ma = m.moving_average("coop_power")
+    ma = m.moving_average("coop_power", 100)
     quiet = float(ma[499:700].max())
     early = float(ma[99:300].mean())
     late = float(ma[799:1000].mean())
@@ -217,10 +216,9 @@ def test_08_solver_equivalences():
     from coopsim import (
         FadeState,
         FadingModel,
+        FrameRule,
         PowerSet,
         solve_multiuser_frame,
-        solve_p0,
-        solve_p1,
         solve_p1_fading,
     )
     import itertools
@@ -237,18 +235,17 @@ def test_08_solver_equivalences():
             phi={p: float(v) for p, v in zip(levels, phi_vals)},
             mu_su={p: float(v) for p, v in zip(levels, g.uniform(0, 1, n_levels))},
             p_avg=float(levels[-1] / 2),
-            p_max=levels[-1],
             power_set=PowerSet.make_grid(levels),
         )
 
     # (a) threshold rule vs direct scan on {0, p_max}
     scan_params = ModelParams(
         lambda_pu=0.5, lambda_su=0.5, a_max=1, phi=dict(REF.phi),
-        mu_su=dict(REF.mu_su), p_avg=0.5, p_max=1.0,
+        mu_su=dict(REF.mu_su), p_avg=0.5,
         power_set=PowerSet.make_grid([0.0, 1.0]),
     )
     a_ok = all(
-        solve_p1(t, x, REF) == solve_p1(t, x, scan_params)
+        FrameRule(REF).busy_power(t, x) == FrameRule(scan_params).busy_power(t, x)
         for t, x in zip(g.uniform(0, 500, 1000), g.uniform(0, 200, 1000))
     )
 
@@ -261,13 +258,13 @@ def test_08_solver_equivalences():
         best_idle, best_theta = None, None
         for i, ((gq, gx), par) in enumerate(zip(queues, users)):
             for p in par.power_set.levels:
-                val = gq * par.mu_su_of(p) - gx * p
+                val = gq * par.mu_su[p] - gx * p
                 if best_theta is None or val > best_theta:
                     best_idle, best_theta = (i, p), val
         best_coop, best_ratio = None, None
         for i, ((_, gx), par) in enumerate(zip(queues, users)):
             for p in par.power_set.levels:
-                ratio = (best_theta + gx * p) / par.phi_of(p)
+                ratio = (best_theta + gx * p) / par.phi[p]
                 if best_ratio is None or ratio < best_ratio:
                     best_coop, best_ratio = (i, p), ratio
         if (dec.idle_user, dec.p0_star) != best_idle or (
@@ -307,9 +304,10 @@ def test_08_solver_equivalences():
         q = float(g.uniform(0, 100))
         x = float(g.uniform(0, 100))
         scale = float(g.uniform(0.1, 10.0))
-        p0a, ta = solve_p0(q, x, par)
-        p0b, tb = solve_p0(scale * q, scale * x, par)
-        if p0a != p0b or solve_p1(ta, x, par) != solve_p1(tb, scale * x, par):
+        rule = FrameRule(par)
+        p0a, ta = rule.idle_power(q, x)
+        p0b, tb = rule.idle_power(scale * q, scale * x)
+        if p0a != p0b or rule.busy_power(ta, x) != rule.busy_power(tb, scale * x):
             d_ok = False
             break
 

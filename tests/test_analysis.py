@@ -156,7 +156,6 @@ def test_drift_constants_degenerate_zero_b():
         phi={0.0: 0.6, 1.0: 0.8},
         mu_su={0.0: 0.0, 1.0: 0.0},
         p_avg=1.0,
-        p_max=1.0,
         power_set=REF.power_set,
     )
     dc = drift_constants(params)

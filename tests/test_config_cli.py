@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import filecmp
+import importlib
 import io
 import os
 import re
@@ -61,7 +62,6 @@ def test_parse_and_defaults(tmp_path):
     assert scenario.params.phi_c == 0.8
     assert scenario.policy.kind == "fbdpp" and scenario.policy.v == 500
     assert scenario.horizon_frames == 200
-    assert scenario.window == 100          # default
     assert scenario.params.a_max == 1      # default
 
 
@@ -100,13 +100,18 @@ policy = counter
 """
     scenario = RunConfig.from_text(text).build_scenario()
     assert scenario.params.power_set.levels == (0.0, 0.5, 1.0)
-    assert scenario.params.phi_of(0.5) == 0.7
+    assert scenario.params.phi[0.5] == 0.7
 
 
 def test_schedule_parsing():
     text = BASE + "\nlambda_schedule = 350:0.2, 700:0.55\n"
     scenario = RunConfig.from_text(text).build_scenario()
     assert scenario.lambda_schedule == ((350, 0.2), (700, 0.55))
+    for schedule, rule in (("0:0.3", "at least 1"), ("-2:0.3", "at least 1"),
+                           ("10:0.3, 5:0.2", "strictly increasing")):
+        cfg = RunConfig.from_text(BASE + f"\nlambda_schedule = {schedule}\n")
+        with pytest.raises(ConfigError, match="schedule frame indices must be " + rule):
+            cfg.build_scenario()
 
 
 def test_cli_run_writes_csvs(tmp_path, capsys):
@@ -238,9 +243,12 @@ policy = counter
 power_levels = 0, 0.5, 1
 """
     cfg = write_config(tmp_path, text + f"\nout_dir = {tmp_path}/out\n")
-    assert main(["oracle", "--config", str(cfg)]) == 1
-    assert "--grid-step" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()     # the refused run creates nothing
+    for force_q in ([], ["--force-q", "0.5"]):
+        assert main(["oracle", "--config", str(cfg), *force_q]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and "--grid-step" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()     # the refused run creates nothing
     assert main(["oracle", "--config", str(cfg), "--grid-step", "0.01"]) == 0
     assert (tmp_path / "out" / "oracle.csv").exists()
 
@@ -311,13 +319,14 @@ def test_cli_adaptive(tmp_path, capsys):
     )
     text += f"\nlambda_schedule = 60:0.2\nout_dir = {tmp_path}/out\n"
     cfg = write_config(tmp_path, text)
-    for argv, checkpoints in (([], ["frame=100", "frame=120"]),
-                              (["--frames", "100"], ["frame=100"])):
+    # no window key: the moving average runs over the default 100 frames
+    ma = run_episode(RunConfig.from_path(cfg).build_scenario()).moving_average("coop_power", 100)
+    for argv, checkpoints in (([], [100, 120]), (["--frames", "100"], [100])):
         assert main(["adaptive", "--config", str(cfg), *argv]) == 0
         lines = capsys.readouterr().out.splitlines()
         # each checkpoint once, also when the horizon is itself a checkpoint
-        assert [line.split()[0] for line in lines if line.startswith("frame=")] == checkpoints
-        assert all("coop_power_ma=" in line for line in lines if line.startswith("frame="))
+        assert [line for line in lines if line.startswith("frame=")] == [
+            f"frame={k} coop_power_ma={ma[k - 1]:.6f}" for k in checkpoints]
 
 
 @pytest.mark.parametrize("argv, edit", [
@@ -336,6 +345,11 @@ def test_cli_adaptive(tmp_path, capsys):
     (["baselines", "--frames", "10"], {"policy = fbdpp": "policy = counter", "v = 500": "v = -1"}),
     (["run"], {"policy = fbdpp": "policy = stationary"}),
     (["run"], {"seed = 42": "seed = 42\nstationary_q = 0.3"}),
+    (["analyze"], {"lambda_pu = 0.5": "lambda_pu = 0"}),        # unbounded frame moments
+    (["baselines", "--frames", "10"], {"lambda_pu = 0.5": "lambda_pu = 0"}),
+    (["run"], {"seed = 42": "seed = 42\nwindow = 0"}),           # a key run never reads
+    (["adaptive"], {"seed = 42": "seed = 42\nwindow = 0"}),
+    (["adaptive", "--window", "0"], {}),
 ])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     text = BASE
@@ -460,6 +474,35 @@ def test_readme_tables_match_the_code():
     assert documented_flags == _parser_flags()
 
 
+def test_readme_library_example_runs(capsys):
+    example = README.read_text().split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and "upsilon=0.25" in lines[0]
+
+
+def test_readme_names_resolve():
+    # every backticked coopsim ``module.name`` in README names live code;
+    # file names such as ``oracle.csv`` are not module attributes
+    package = Path(config.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    names = [token.removeprefix("coopsim.") for token in
+             re.findall(r"`([\w.]+)`", README.read_text()) if not token.endswith(".csv")]
+    dotted = [name for name in names if name.split(".")[0] in modules and "." in name]
+    assert {"controller.FrameRule", "model.step_pu_queue", "controller.admit",
+            "baselines.budget_gate"} <= set(dotted)
+    missing = []
+    for name in dotted:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"coopsim.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(name)
+    assert missing == []
+
+
 def test_runtime_imports_are_numpy_and_stdlib_only():
     # scipy and pytest-benchmark may be installed, but the package needs only numpy.
     allowed = set(sys.stdlib_module_names) | {"numpy"}
@@ -493,7 +536,7 @@ def _crafted_metrics(n, v=500.0):
     ints = np.int64
     return RunMetrics(
         policy_label=PolicySpec(kind="fbdpp", v=v).label() if v is not None else "counter",
-        v=v, seed=20260810, window=100,
+        v=v, seed=20260810,
         frame_len=(k % 7 + 2).astype(ints), admitted=(k % 3).astype(ints),
         served=(k % 2).astype(ints), power_idle=0.7 * k, power_coop=AWKWARD[k % 4],
         q_su_end=(k * 37 % 501).astype(ints), x_su_end=np.cumsum(np.full(n, 0.7)),

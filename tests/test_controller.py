@@ -7,16 +7,13 @@ from coopsim import (
     FadeState,
     FadingModel,
     FrameDriftPenaltyPolicy,
+    FrameRule,
     ModelParams,
     PowerSet,
     admit,
-    cooperation_threshold,
     solve_multiuser_frame,
-    solve_p0,
-    solve_p1,
     solve_p1_fading,
 )
-from coopsim.controller import FrameRule
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
@@ -32,15 +29,13 @@ def random_params(g, n_levels=None):
     phi_vals = np.sort(g.uniform(0.3, 1.0, n))
     lam_pu = float(g.uniform(0.05, phi_vals[0] * 0.9))
     mu_vals = g.uniform(0.0, 1.0, n)
-    p_max = levels[-1]
     return ModelParams(
         lambda_pu=lam_pu,
         lambda_su=float(g.uniform(0.1, 1.0)),
         a_max=1,
         phi={p: float(v) for p, v in zip(levels, phi_vals)},
         mu_su={p: float(v) for p, v in zip(levels, mu_vals)},
-        p_avg=float(g.uniform(0.1, p_max)),
-        p_max=p_max,
+        p_avg=float(g.uniform(0.1, levels[-1])),
         power_set=PowerSet.make_grid(levels),
     )
 
@@ -52,20 +47,19 @@ def test_admit_threshold():
 
 
 def test_solve_p0_examples():
-    p0, theta = solve_p0(100, 10, REF)
-    assert (p0, theta) == (1.0, 90.0)
-    p0, theta = solve_p0(0, 5, REF)
-    assert (p0, theta) == (0.0, 0.0)
-    p0, theta = solve_p0(10, 10, REF)   # tie at 0 resolves to lower power
-    assert (p0, theta) == (0.0, 0.0)
+    rule = FrameRule(REF)
+    assert rule.idle_power(100, 10) == (1.0, 90.0)
+    assert rule.idle_power(0, 5) == (0.0, 0.0)
+    assert rule.idle_power(10, 10) == (0.0, 0.0)   # tie at 0 resolves to lower power
 
 
 def test_solve_p1_examples():
     # threshold = 90 * 0.2 / 0.6 = 30; x below it means cooperate
-    assert cooperation_threshold(90, REF) == pytest.approx(30.0)
-    assert solve_p1(90, 10, REF) == 1.0
-    assert solve_p1(0, 5, REF) == 0.0
-    assert solve_p1(50, 0, REF) == 1.0   # free power maximizes success prob
+    rule = FrameRule(REF)
+    assert rule.threshold(90) == pytest.approx(30.0)
+    assert rule.busy_power(90, 10) == 1.0
+    assert rule.busy_power(0, 5) == 0.0
+    assert rule.busy_power(50, 0) == 1.0   # free power maximizes success prob
 
 
 def test_theta_nonnegative_over_random_states():
@@ -74,7 +68,7 @@ def test_theta_nonnegative_over_random_states():
         par = random_params(g)
         q = float(g.uniform(0, 1000))
         x = float(g.uniform(0, 1000))
-        _, theta = solve_p0(q, x, par)
+        _, theta = FrameRule(par).idle_power(q, x)
         assert theta >= 0.0
 
 
@@ -88,7 +82,6 @@ def test_threshold_rule_equals_direct_argmin():
         phi=dict(REF.phi),
         mu_su=dict(REF.mu_su),
         p_avg=0.5,
-        p_max=1.0,
         power_set=PowerSet.make_grid([0.0, 1.0]),   # same levels, scan path
     )
     g = rng(2)
@@ -96,13 +89,13 @@ def test_threshold_rule_equals_direct_argmin():
     for _ in range(1000):
         theta = float(g.uniform(0, 500)) if g.random() < 0.9 else 0.0
         x = float(g.uniform(0, 200))
-        assert solve_p1(theta, x, REF) == solve_p1(theta, x, direct)
+        assert FrameRule(REF).busy_power(theta, x) == FrameRule(direct).busy_power(theta, x)
         checked += 1
     # Boundary behavior of the threshold rule: x at the threshold means "do
     # not cooperate".
     for theta in (0.0, 30.0, 123.456):
-        x = cooperation_threshold(theta, REF)
-        assert solve_p1(theta, x, REF) == 0.0
+        x = FrameRule(REF).threshold(theta)
+        assert FrameRule(REF).busy_power(theta, x) == 0.0
     # For the scan path, build a tie that is exact in floats (dyadic
     # probabilities) so both objectives evaluate identically and the
     # lower-power preference decides.
@@ -114,14 +107,13 @@ def test_threshold_rule_equals_direct_argmin():
         phi={0.0: 0.5, 1.0: 1.0},
         mu_su={0.0: 0.0, 1.0: 1.0},
         p_avg=0.5,
-        p_max=1.0,
         power_set=PowerSet.make_grid([0.0, 1.0]),
     )
     for theta in (0.0, 4.0, 10.5):
-        x = cooperation_threshold(theta, dyadic)   # equals theta here
+        x = FrameRule(dyadic).threshold(theta)   # equals theta here
         assert x == theta
-        assert solve_p1(theta, x, dyadic) == 0.0
-        assert solve_p1(theta, x, dyadic_scan) == 0.0
+        assert FrameRule(dyadic).busy_power(theta, x) == 0.0
+        assert FrameRule(dyadic_scan).busy_power(theta, x) == 0.0
     assert checked == 1000
 
 
@@ -133,25 +125,26 @@ def test_scaling_invariance():
         par = random_params(g)
         q = float(g.uniform(0, 100))
         x = float(g.uniform(0, 100))
+        rule = FrameRule(par)
         for scale in (0.5, 2.0, 7.25):
-            p0a, ta = solve_p0(q, x, par)
-            p0b, tb = solve_p0(scale * q, scale * x, par)
+            p0a, ta = rule.idle_power(q, x)
+            p0b, tb = rule.idle_power(scale * q, scale * x)
             assert p0a == p0b
             assert tb == pytest.approx(scale * ta)
-            assert solve_p1(ta, x, par) == solve_p1(tb, scale * x, par)
+            assert rule.busy_power(ta, x) == rule.busy_power(tb, scale * x)
 
 
 def brute_force_multiuser(frame_queues, params_per_user):
     best_idle, best_theta = None, None
     for i, ((q, x), par) in enumerate(zip(frame_queues, params_per_user)):
         for p in par.power_set.levels:
-            val = q * par.mu_su_of(p) - x * p
+            val = q * par.mu_su[p] - x * p
             if best_theta is None or val > best_theta:
                 best_idle, best_theta = (i, p), val
     best_coop, best_ratio = None, None
     for i, ((_, x), par) in enumerate(zip(frame_queues, params_per_user)):
         for p in par.power_set.levels:
-            ratio = (best_theta + x * p) / par.phi_of(p)
+            ratio = (best_theta + x * p) / par.phi[p]
             if best_ratio is None or ratio < best_ratio:
                 best_coop, best_ratio = (i, p), ratio
     return best_idle, best_theta, best_coop
@@ -164,10 +157,10 @@ def test_multiuser_single_user_reduces_to_two_step():
         q = float(g.uniform(0, 50))
         x = float(g.uniform(0, 50))
         dec = solve_multiuser_frame([(q, x)], [par])
-        p0, theta = solve_p0(q, x, par)
+        p0, theta = FrameRule(par).idle_power(q, x)
         assert dec.idle_user == 0 and dec.coop_user == 0
         assert dec.p0_star == p0 and dec.theta_star == theta
-        assert dec.p1_star == solve_p1(theta, x, par)
+        assert dec.p1_star == FrameRule(par).busy_power(theta, x)
 
 
 def test_multiuser_larger_backlog_wins_idle_slot():
@@ -202,7 +195,7 @@ def test_multiuser_scans_two_point_users_and_keeps_the_tie_order():
             (bi, bp0), btheta, (bj, bp1) = brute_force_multiuser(queues, users)
             assert (dec.idle_user, dec.p0_star, dec.theta_star) == (bi, bp0, btheta)
             assert (dec.coop_user, dec.p1_star) == (bj, bp1)
-            ties += solve_p1(btheta, x, REF) != bp1
+            ties += FrameRule(REF).busy_power(btheta, x) != bp1
     assert ties == 99
 
 
@@ -227,7 +220,7 @@ def test_fading_single_state_reduces_to_scan():
         theta = float(g.uniform(0, 50))
         x = float(g.uniform(0, 20))
         out = solve_p1_fading(theta, x, fading, par)
-        assert out == {"only": solve_p1(theta, x, par)}
+        assert out == {"only": FrameRule(par).busy_power(theta, x)}
 
 
 def test_fading_identical_states_share_power():
@@ -241,7 +234,7 @@ def test_fading_identical_states_share_power():
     )
     theta, x = 25.0, 3.0
     out = solve_p1_fading(theta, x, fading, par)
-    assert out["a"] == out["b"] == solve_p1(theta, x, par)
+    assert out["a"] == out["b"] == FrameRule(par).busy_power(theta, x)
 
 
 def test_fading_matches_exhaustive_search():
@@ -279,7 +272,7 @@ def test_fading_size_cap_and_descent(monkeypatch):
     fading = FadingModel(states=states)
     # identical states: descent must agree with the single-state answer
     out = solve_p1_fading(3.0, 1.0, fading, par)
-    want = solve_p1(3.0, 1.0, par)
+    want = FrameRule(par).busy_power(3.0, 1.0)
     assert all(v == want for v in out.values())
 
 
@@ -302,17 +295,16 @@ def test_policy_queue_bound_and_frame_constancy():
     for k in range(metrics.frames):
         assert metrics.power_idle[k] in [metrics.idle_len[k] * p for p in levels]
         assert metrics.power_coop[k] in [busy_len[k] * p for p in levels]
-    pol = FrameDriftPenaltyPolicy(REF)
-    pol.begin_frame(40, 3.0)
-    p0, theta = solve_p0(40, 3.0, REF)
-    assert (pol.p0_star, pol.p1_star) == (p0, solve_p1(theta, 3.0, REF))
+    rule = FrameRule(REF)
+    p0, theta = rule.idle_power(40, 3.0)
+    assert FrameDriftPenaltyPolicy(REF).begin_frame(40, 3.0) == (p0, rule.busy_power(theta, 3.0))
 
 
 def _solve_p0_spec(q, x, params):
     """The idle rule as first written: one map lookup per level."""
     best_p, best_val = 0.0, None
     for p in params.power_set.levels:
-        val = q * params.mu_su_of(p) - x * p
+        val = q * params.mu_su[p] - x * p
         if best_val is None or val > best_val:
             best_p, best_val = p, val
     return best_p, best_val
@@ -328,7 +320,7 @@ def _solve_p1_spec(theta, x, params):
         return 0.0 if x >= _threshold_spec(theta, params) else params.p_max
     best_p, best_val = 0.0, None
     for p in params.power_set.levels:
-        val = (theta + x * p) / params.phi_of(p)
+        val = (theta + x * p) / params.phi[p]
         if best_val is None or val < best_val:
             best_p, best_val = p, val
     return best_p
@@ -346,21 +338,19 @@ def test_frame_decision_matches_the_rule_on_the_two_point_lattice():
     for q in range(601):
         for k in range(1200):
             x = 0.5 * k
-            pol.begin_frame(q, x)
-            if (pol.p0_star, pol.p1_star) != _spec_pair(q, x, REF):
+            if pol.begin_frame(q, x) != _spec_pair(q, x, REF):
                 mismatches.append((q, x))
     assert mismatches == []
     # the same threshold float, not just the same decisions: theta * (num / den)
     # rounds differently for about one lattice theta in five
     thetas = [0.5 * k for k in range(1201)]
-    assert [cooperation_threshold(t, REF) for t in thetas] == [
+    assert [FrameRule(REF).threshold(t) for t in thetas] == [
         _threshold_spec(t, REF) for t in thetas]
     # the reference tie: both busy objectives equal 2.5, and the threshold
     # rounds to 0.5000000000000002, so the two-point rule still cooperates
-    pol.begin_frame(2, 0.5)
-    assert (pol.p0_star, pol.p1_star) == (1.0, REF.p_max)
-    assert cooperation_threshold(1.5, REF) == 0.5000000000000002
-    assert solve_p1(1.5, 0.5, REF) == REF.p_max
+    assert pol.begin_frame(2, 0.5) == (1.0, REF.p_max)
+    assert FrameRule(REF).threshold(1.5) == 0.5000000000000002
+    assert FrameRule(REF).busy_power(1.5, 0.5) == REF.p_max
 
 
 def random_two_point(g):
@@ -382,14 +372,14 @@ def test_frame_decision_matches_the_rule_on_random_grids(n_levels):
         for _ in range(100):
             q = float(g.integers(0, 300)) if g.random() < 0.5 else float(g.uniform(0, 300))
             x = float(g.uniform(0, 100))
-            pol.begin_frame(q, x)
             want = _spec_pair(q, x, par)
-            assert (pol.p0_star, pol.p1_star) == want
-            assert solve_p0(q, x, par) == _solve_p0_spec(q, x, par)
-            theta = solve_p0(q, x, par)[1]
-            assert solve_p1(theta, x, par) == want[1]
+            assert pol.begin_frame(q, x) == want
+            rule = FrameRule(par)
+            assert rule.idle_power(q, x) == _solve_p0_spec(q, x, par)
+            theta = rule.idle_power(q, x)[1]
+            assert rule.busy_power(theta, x) == want[1]
             if par.power_set.two_point:
-                assert cooperation_threshold(theta, par) == _threshold_spec(theta, par)
+                assert rule.threshold(theta) == _threshold_spec(theta, par)
 
 
 def _fresh_rule_pair(q, x, params):
@@ -403,8 +393,7 @@ def _replay(pol, params, pairs):
     """Drive ``begin_frame`` over ``pairs``; the decisions that differ from a fresh rule."""
     wrong = []
     for q, x in pairs:
-        pol.begin_frame(q, x)
-        got, want = (pol.p0_star, pol.p1_star), _fresh_rule_pair(q, x, params)
+        got, want = pol.begin_frame(q, x), _fresh_rule_pair(q, x, params)
         if repr(got) != repr(want):     # repr tells -0.0 from 0.0
             wrong.append((q, x, got, want))
     return wrong
@@ -420,8 +409,7 @@ def test_remembered_decisions_match_a_fresh_rule_on_two_points():
     assert _replay(pol, REF, pairs) == []
     # the tie still cooperates, remembered or not
     for _ in range(2):
-        pol.begin_frame(2, 0.5)
-        assert (pol.p0_star, pol.p1_star) == (1.0, REF.p_max)
+        assert pol.begin_frame(2, 0.5) == (1.0, REF.p_max)
 
 
 @pytest.mark.parametrize("n_levels", [3, 4])

@@ -143,9 +143,9 @@ def test_virtual_queue_identity_checked_every_episode(monkeypatch):
 
 
 def test_moving_average_prefix_and_window():
-    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=250, seed=19, window=100)
+    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=250, seed=19)
     m = run_episode(sc)
-    ma = m.moving_average("coop_power")
+    ma = m.moving_average("coop_power", 100)
     assert len(ma) == 250
     # first point is the frame's own rate
     assert ma[0] == pytest.approx(m.power_coop[0] / m.frame_len[0])
@@ -155,7 +155,7 @@ def test_moving_average_prefix_and_window():
     expect = m.power_coop[lo : k + 1].sum() / m.frame_len[lo : k + 1].sum()
     assert ma[k] == pytest.approx(expect)
     with pytest.raises(ValueError):
-        m.moving_average("nope")
+        m.moving_average("nope", 100)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="window"):
             m.moving_average("coop_power", window=bad)
@@ -188,7 +188,7 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
     # each kind has one hook: an open-loop policy's choose_power runs once
     # per slot, and what it returns is what the slot spends; fbdpp's
     # begin_frame runs once per frame, and every slot of the frame spends the
-    # pair it set
+    # pair it returns
     import coopsim.engine as engine
 
     build_policy = engine.build_policy
@@ -202,8 +202,8 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
             begin = policy.begin_frame
 
             def recorded(q_su, x_su):
-                begin(q_su, x_su)
-                pairs.append((policy.p0_star, policy.p1_star))
+                pairs.append(begin(q_su, x_su))
+                return pairs[-1]
 
             policy.begin_frame = recorded
         else:
@@ -239,7 +239,7 @@ FRAME_FIELDS = ("frame_len", "admitted", "served", "power_idle", "power_coop", "
 GRID = ModelParams(
     lambda_pu=0.5, lambda_su=0.4, a_max=1,
     phi={0.0: 0.6, 0.5: 0.72, 1.0: 0.8}, mu_su={0.0: 0.0, 0.5: 0.7, 1.0: 1.0},
-    p_avg=0.5, p_max=1.0, power_set=PowerSet.make_grid([0, 0.5, 1]),
+    p_avg=0.5, power_set=PowerSet.make_grid([0, 0.5, 1]),
 )
 A_MAX_3 = ModelParams.two_point(0.4, 1.2, 0.6, 0.8, 0.45, a_max=3)
 KINDS = (
@@ -255,9 +255,9 @@ def _reference_episode(scenario):
 
     Five uniforms per slot, in blocks of 8192 rows, used as run_episode uses
     them: arrivals, primary success, secondary service, primary arrival.
-    Column 1 is drawn but not read. fbdpp's pair is read from
-    ``p0_star``/``p1_star`` in every slot and set by ``begin_frame`` at every
-    boundary; the other kinds make one ``choose_power`` call per slot.
+    Column 1 is drawn but not read. fbdpp's pair is returned by
+    ``begin_frame`` at every boundary and read in every slot; the other kinds
+    make one ``choose_power`` call per slot.
     """
     par, spec = scenario.params, scenario.policy
     policy = build_policy(spec, par)
@@ -275,7 +275,7 @@ def _reference_episode(scenario):
     bi = 8192
     blocks = 0
     if fbdpp:
-        policy.begin_frame(q_su, x_su)
+        p0, p1 = policy.begin_frame(q_su, x_su)
     while len(rows) < scenario.horizon_frames and slot < scenario.slot_cap:
         if bi == 8192:
             block = rng.random((8192, 5))
@@ -286,12 +286,12 @@ def _reference_episode(scenario):
         bi += 1
         idle = q_pu == 0
         if fbdpp:
-            power = policy.p0_star if idle else policy.p1_star
+            power = p0 if idle else p1
         else:
             power = policy.choose_power(idle)
         adm = admit(q_su, int(arrivals[bi - 1]), admit_cap)
-        pu_success = not idle and bool(u[2] < par.phi_of(power))
-        offered = 1 if idle and u[3] < par.mu_su_of(power) else 0
+        pu_success = not idle and bool(u[2] < par.phi[power])
+        offered = 1 if idle and u[3] < par.mu_su[power] else 0
         served = offered if q_su > 0 else 0
         f_qsum += q_su
         q_pu = step_pu_queue(q_pu, pu_success, 1 if u[4] < lam_pu else 0)
@@ -313,7 +313,7 @@ def _reference_episode(scenario):
             lam_pu = switches.get(len(rows), lam_pu)
             frame_start = slot
             if fbdpp:
-                policy.begin_frame(q_su, x_su)
+                p0, p1 = policy.begin_frame(q_su, x_su)
             seen_busy = False
             f_idle = f_adm = f_srv = f_qsum = 0
             f_pi = f_pc = 0.0

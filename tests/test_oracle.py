@@ -177,7 +177,7 @@ def one_slot_spec(policy, params, horizons, seed):
     u = rng(seed).random((max(horizons), 4))
     arrivals = arrival_counts(u[:, 0], params.a_max, params.lambda_su).tolist()
     P = params.p_max
-    mu, phi_c, phi_nc = params.mu_su_of(P), params.phi_c, params.phi_nc
+    mu, phi_c, phi_nc = params.mu_su[P], params.phi_c, params.phi_nc
     q_pu = q_su = served = idle_slots = 0
     power = 0.0
     out = {}
@@ -290,7 +290,7 @@ def full_matrix_grid_search(params, step, q_fixed=None):
     pi_0 = 1.0 - params.lambda_pu / mu_eff
     coop = (params.lambda_pu / mu_eff) * q * P
     power = coop[:, None] + pi_0[:, None] * p[None, :] * P
-    ups = np.minimum(params.lambda_su, params.mu_su_of(P) * pi_0[:, None] * p[None, :])
+    ups = np.minimum(params.lambda_su, params.mu_su[P] * pi_0[:, None] * p[None, :])
     ups = np.where(power <= params.p_avg + 1e-12, ups, -np.inf)
     i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
     if ups[i, j] == -np.inf:
@@ -357,7 +357,6 @@ def test_closed_form_requires_two_point():
         phi={0.0: 0.6, 0.5: 0.7, 1.0: 0.8},
         mu_su={0.0: 0.0, 0.5: 0.6, 1.0: 1.0},
         p_avg=0.5,
-        p_max=1.0,
         power_set=PowerSet.make_grid([0.0, 0.5, 1.0]),
     )
     with pytest.raises(ValueError, match="two-point"):
