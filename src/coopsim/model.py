@@ -84,10 +84,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_pu < 1.0:
             raise ValueError("lambda_pu must lie in [0, 1)")
-        if not 0.0 <= self.lambda_su <= self.a_max:
-            raise ValueError("lambda_su must lie in [0, a_max]")
         if self.a_max < 1:
             raise ValueError("a_max must be at least 1")
+        if not 0.0 <= self.lambda_su <= self.a_max:
+            raise ValueError("lambda_su must lie in [0, a_max]")
         if not 0.0 < self.p_avg <= self.p_max:
             raise ValueError("p_avg must lie in (0, p_max]")
         for p in self.power_set.levels:
@@ -102,7 +102,7 @@ class ModelParams:
             if hi < lo:
                 raise ValueError("phi must be non-decreasing in power")
         if self.lambda_pu >= self.phi_nc:
-            raise ValueError(
+            raise UnstableChainError(
                 "unstable primary queue: lambda_pu=%g must be < phi(0)=%g"
                 % (self.lambda_pu, self.phi_nc)
             )

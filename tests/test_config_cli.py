@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopsim import ModelParams, Scenario, config
+from coopsim import Scenario, config
 from coopsim.cli import (
     FRAMES_CSV_COLUMNS,
     ORACLE_CSV_COLUMNS,
@@ -66,8 +66,9 @@ def test_parse_and_defaults(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown key"):
-        RunConfig.from_text(BASE + "\nwhatever = 3\n")
+    for line in ("whatever = 3", "max_slots = 1000"):     # the slot cap is not a key
+        with pytest.raises(ConfigError, match="unknown key"):
+            RunConfig.from_text(BASE + f"\n{line}\n")
 
 
 def test_missing_required_rejected():
@@ -222,16 +223,6 @@ def test_cli_oracle_bad_inputs_are_config_errors(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()      # nothing written, no oracle.csv
 
 
-@pytest.mark.parametrize("max_slots", ["0", "-5"])
-def test_non_positive_max_slots_rejected(tmp_path, capsys, max_slots):
-    cfg = write_config(tmp_path, BASE + f"\nmax_slots = {max_slots}\nout_dir = {tmp_path}/out\n")
-    with pytest.raises(ConfigError, match="max_slots"):
-        RunConfig.from_path(cfg).build_scenario()
-    assert main(["run", "--config", str(cfg)]) == 1
-    assert "max_slots must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_oracle_grid_needed_for_grids(tmp_path, capsys):
     text = """
 lambda_pu = 0.5
@@ -300,14 +291,17 @@ def test_cli_baselines_equal_horizons(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "adaptive", "sweep", "baselines"])
-def test_cli_truncated_episode_exits_2(tmp_path, capsys, command):
-    text = BASE + f"\nmax_slots = 1000\nv_list = 10\nout_dir = {tmp_path}/out\n"
+def test_cli_truncated_episode_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(Scenario, "slot_cap", property(lambda self: 1000))
+    text = BASE + f"\nv_list = 10, 50\nout_dir = {tmp_path}/out\n"
     cfg = write_config(tmp_path, text)
     assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err.strip()
-    match = re.fullmatch(r"error: stopped at max_slots=1000 after (\d+) of (\d+) frames", err)
+    out, err = capsys.readouterr()
+    match = re.fullmatch(
+        r"error: stopped at the slot cap of 1000 slots after (\d+) of (\d+) frames", err.strip())
     assert match, err
     assert int(match.group(1)) < int(match.group(2))
+    assert out == ""                           # no summary or table from a cut-short run
     assert not (tmp_path / "out").exists()     # no CSV from a cut-short run
 
 
@@ -350,6 +344,11 @@ def test_cli_adaptive(tmp_path, capsys):
     (["run"], {"seed = 42": "seed = 42\nwindow = 0"}),           # a key run never reads
     (["adaptive"], {"seed = 42": "seed = 42\nwindow = 0"}),
     (["adaptive", "--window", "0"], {}),
+    (["run"], {"seed = 42": "seed = 42\na_max = 0"}),
+    (["run"], {"lambda_pu = 0.5": "lambda_pu = 0"}),           # no frame would ever end
+    (["adaptive"], {"lambda_pu = 0.5": "lambda_pu = 0"}),
+    (["sweep"], {"lambda_pu = 0.5": "lambda_pu = 0\nv_list = 10, 50"}),
+    (["adaptive"], {"seed = 42": "seed = 42\nlambda_schedule = 3:0"}),
 ])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     text = BASE
@@ -590,20 +589,6 @@ def test_frames_writer_memo_keeps_each_float_text(tmp_path):
     written = (tmp_path / "frames.csv").read_bytes()
     assert written == (tmp_path / "plain.csv").read_bytes()
     assert b",-0.0," in written and b",0.0," in written and b",nan," in written
-
-
-def test_zero_frame_episode_writes_header_only(tmp_path):
-    quiet = ModelParams.two_point(0.0, 0.5, 0.6, 0.8, 0.5)
-    m = run_episode(Scenario(params=quiet, policy=PolicySpec(kind="fbdpp", v=5.0),
-                             horizon_frames=3, seed=1, max_slots=50))
-    assert m.frames == 0
-    write_frames_csv(tmp_path / "frames.csv", m)
-    write_summary_csv(tmp_path / "summary.csv", m)
-    assert (tmp_path / "frames.csv").read_bytes() == _csv_writer_bytes(
-        _meta(m), FRAMES_CSV_COLUMNS, [])
-    assert (tmp_path / "summary.csv").read_bytes() == _csv_writer_bytes(
-        _meta(m), SUMMARY_CSV_COLUMNS, [_summary_row(m)])
-    assert read_frames_csv(tmp_path / "frames.csv") == {name: [] for name in FRAMES_CSV_COLUMNS}
 
 
 def test_sweep_and_oracle_writers_match_csv_writer(tmp_path):

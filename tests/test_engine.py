@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from coopsim import (
     PolicySpec,
     PowerSet,
     Scenario,
+    UnstableChainError,
     admit,
     arrival_counts,
     build_policy,
@@ -94,24 +93,21 @@ def test_small_v_power_within_budget_at_horizon():
 
 
 def test_degenerate_quiet_primary():
-    # lambda_pu = 0: one endless idle run; no frame ever completes and the
-    # partial tally carries the cumulative stats.
+    # lambda_pu = 0: one endless idle run, so no frame would ever end; the
+    # model allows the rate, an episode refuses it, scheduled or not
     quiet = ModelParams.two_point(0.0, 0.5, 0.6, 0.8, 0.5)
-    sc = Scenario(params=quiet, policy=PolicySpec(kind="no_coop"),
-                  horizon_frames=10, seed=33, max_slots=50_000)
-    m = run_episode(sc)
-    assert m.frames == 0
-    assert m.partial_slots == 50_000
-    # saturated queue, idle every slot: served == min(lambda_su, 1) rate-ish
-    assert m.throughput_served == pytest.approx(0.5, abs=0.02)
-    assert m.throughput_admitted == pytest.approx(0.5, abs=0.02)
+    for params, schedule in ((quiet, ()), (REF, ((3, 0.0),)), (REF, ((3, 0.3), (9, -0.1)))):
+        with pytest.raises(ValueError, match="lambda_pu must be above 0") as exc:
+            Scenario(params=params, policy=PolicySpec(kind="no_coop"), horizon_frames=10,
+                     seed=33, lambda_schedule=schedule)
+        assert not isinstance(exc.value, UnstableChainError)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         Scenario(params=REF, policy=FBDPP, horizon_frames=10, seed=1,
                  lambda_schedule=((5, 0.3), (5, 0.2)))
-    with pytest.raises(ValueError, match="unstable"):
+    with pytest.raises(UnstableChainError, match="unstable"):
         Scenario(params=REF, policy=FBDPP, horizon_frames=10, seed=1,
                  lambda_schedule=((5, 0.7),))
 
@@ -257,7 +253,8 @@ def _reference_episode(scenario):
     them: arrivals, primary success, secondary service, primary arrival.
     Column 1 is drawn but not read. fbdpp's pair is returned by
     ``begin_frame`` at every boundary and read in every slot; the other kinds
-    make one ``choose_power`` call per slot.
+    make one ``choose_power`` call per slot. Stepping stops at the horizon or
+    at the scenario's slot cap, and ``slots`` says where.
     """
     par, spec = scenario.params, scenario.policy
     policy = build_policy(spec, par)
@@ -322,9 +319,7 @@ def _reference_episode(scenario):
     dtypes = (ints, ints, ints, floats, floats, ints, floats, ints, ints)
     out = {name: np.asarray(col, dtype=dt)
            for name, col, dt in zip(FRAME_FIELDS, columns, dtypes)}
-    out.update(max_q_su=max_q, partial_slots=slot - frame_start, partial_admitted=f_adm,
-               partial_served=f_srv, partial_power=f_pi + f_pc, partial_q_sum=f_qsum,
-               blocks=blocks)
+    out.update(max_q_su=max_q, slots=slot, blocks=blocks)
     return out
 
 
@@ -333,9 +328,8 @@ def _assert_same_metrics(m, ref):
         got = getattr(m, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
-    for name in ("max_q_su", "partial_slots", "partial_admitted", "partial_served",
-                 "partial_power", "partial_q_sum"):
-        assert getattr(m, name) == ref[name], name
+    assert m.max_q_su == ref["max_q_su"]
+    assert m.slots == ref["slots"]
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
@@ -354,16 +348,18 @@ def test_kernel_matches_one_slot_spec(params, spec):
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
 def test_kernel_matches_one_slot_spec_quiet_primary(spec):
-    # lambda_pu = 0 never completes a frame; the slot cap ends the episode
-    quiet = ModelParams.two_point(0.0, 0.5, 0.6, 0.8, 0.5)
-    sc = Scenario(params=quiet, policy=spec, horizon_frames=10, seed=33, max_slots=20_000)
+    # a primary that rarely arrives: idle runs of hundreds of slots cross blocks
+    quiet = ModelParams.two_point(0.001, 0.5, 0.6, 0.8, 0.5)
+    sc = Scenario(params=quiet, policy=spec, horizon_frames=40, seed=33)
     ref = _reference_episode(sc)
-    assert ref["partial_slots"] == 20_000
+    starts = np.cumsum(ref["frame_len"]) - ref["frame_len"]
+    idle_ends = starts + ref["idle_len"] - 1
+    assert np.count_nonzero(starts // 8192 != idle_ends // 8192) >= 3
     _assert_same_metrics(run_episode(sc), ref)
 
 
-def _run_counting_blocks(monkeypatch, scenario):
-    """run_episode's metrics and the number of uniform blocks it turned into outcomes."""
+def _count_blocks(monkeypatch):
+    """A one-item list counting the uniform blocks run_episode turns into outcomes."""
     import coopsim.engine as engine
 
     blocks = [0]
@@ -373,20 +369,31 @@ def _run_counting_blocks(monkeypatch, scenario):
         return arrival_counts(*args)
 
     monkeypatch.setattr(engine, "arrival_counts", counted)
-    return run_episode(scenario), blocks[0]
+    return blocks
+
+
+def _assert_fails_at_the_cap(monkeypatch, scenario, cap):
+    """The spec stepped to ``cap``, where run_episode fails without drawing another block."""
+    monkeypatch.setattr(Scenario, "slot_cap", property(lambda self: cap))
+    ref = _reference_episode(scenario)
+    done, horizon = ref["frame_len"].size, scenario.horizon_frames
+    assert ref["slots"] == cap and done < horizon
+    blocks = _count_blocks(monkeypatch)
+    with pytest.raises(RuntimeError) as exc:
+        run_episode(scenario)
+    assert str(exc.value) == (
+        f"stopped at the slot cap of {cap} slots after {done} of {horizon} frames")
+    assert blocks[0] == ref["blocks"]
+    return ref
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
 @pytest.mark.parametrize("cap", [8192, 16384])
 def test_kernel_matches_one_slot_spec_cap_at_block_end(monkeypatch, spec, cap):
-    # the cap is the last row of a block: the episode stops without drawing the next one
-    sc = Scenario(params=REF, policy=spec, horizon_frames=5000, seed=9, max_slots=cap)
-    ref = _reference_episode(sc)
-    assert ref["frame_len"].sum() + ref["partial_slots"] == cap
+    # the cap is the last row of a block: the episode fails without drawing the next one
+    sc = Scenario(params=REF, policy=spec, horizon_frames=5000, seed=9)
+    ref = _assert_fails_at_the_cap(monkeypatch, sc, cap)
     assert ref["blocks"] == cap // 8192
-    m, blocks = _run_counting_blocks(monkeypatch, sc)
-    _assert_same_metrics(m, ref)
-    assert blocks == ref["blocks"]
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
@@ -400,12 +407,9 @@ def test_kernel_matches_one_slot_spec_cap_inside_a_run(monkeypatch, spec, phase)
     run_len = idle_len if phase == "idle" else full["frame_len"] - idle_len
     k = next(k for k in range(full["frame_len"].size) if starts[k] > 8192 and run_len[k] >= 2)
     done = 1 if phase == "idle" else int(idle_len[k]) + 1     # slots of frame k in the cap
-    capped = replace(sc, max_slots=int(starts[k]) + done)
-    ref = _reference_episode(capped)
-    assert ref["frame_len"].size == k and ref["partial_slots"] == done
-    m, blocks = _run_counting_blocks(monkeypatch, capped)
-    _assert_same_metrics(m, ref)
-    assert blocks == ref["blocks"] == 2
+    ref = _assert_fails_at_the_cap(monkeypatch, sc, int(starts[k]) + done)
+    assert ref["frame_len"].size == k
+    assert ref["blocks"] == 2
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
@@ -422,9 +426,9 @@ def test_kernel_matches_one_slot_spec_busy_run_ends_a_block(monkeypatch, params,
                   lambda_schedule=((switch, 0.3),))
     ref = _reference_episode(sc)
     assert ref["frame_len"][:switch].sum() % 8192 == 0
-    m, blocks = _run_counting_blocks(monkeypatch, sc)
-    _assert_same_metrics(m, ref)
-    assert blocks == ref["blocks"]
+    blocks = _count_blocks(monkeypatch)
+    _assert_same_metrics(run_episode(sc), ref)
+    assert blocks[0] == ref["blocks"]
 
 
 def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
@@ -446,9 +450,8 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
     import coopsim.engine as engine
     from coopsim import AlwaysCoopPolicy, CounterPolicy, FrameDriftPenaltyPolicy, NoCoopPolicy
 
-    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP, None),
-             (FrameDriftPenaltyPolicy, "begin_frame", FBDPP, 200)] + [
-        (cls, "choose_power", PolicySpec(kind=kind), None)
+    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP)] + [
+        (cls, "choose_power", PolicySpec(kind=kind))
         for cls, kind in ((NoCoopPolicy, "no_coop"), (AlwaysCoopPolicy, "always_coop"),
                           (CounterPolicy, "counter"))
     ]
@@ -460,10 +463,10 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
         return update_virtual_queue(*args)
 
     monkeypatch.setattr(engine, "update_virtual_queue", counted_update)
-    for cls, name, _, _ in hooks:
+    for cls, name, _ in hooks:
         assert name in cls.__dict__, (cls.__name__, name)
-    originals = {(cls, name): cls.__dict__[name] for cls, name, _, _ in hooks}
-    for cls, name, spec, max_slots in hooks:
+    originals = {(cls, name): cls.__dict__[name] for cls, name, _ in hooks}
+    for cls, name, spec in hooks:
         calls = [0]
 
         def counted(self, *args, _fn=originals[cls, name]):
@@ -472,15 +475,10 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
         boundaries[0] = 0
-        m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4,
-                                 max_slots=max_slots))
+        m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4))
         if spec.kind != "fbdpp":
             assert calls[0] == m.slots, cls.__name__
-        elif max_slots is None:
-            # one decision per frame: none after the boundary that completes the horizon
-            assert (calls[0], m.frames, m.partial_slots) == (50, 50, 0)
         else:
-            # the slot cap cuts the horizon short: one more decision, for the partial tail
-            assert m.frames < 50 and m.partial_slots > 0
-            assert calls[0] == m.frames + 1
+            # one decision per frame: none after the boundary that completes the horizon
+            assert (calls[0], m.frames) == (50, 50)
         assert boundaries[0] == m.frames

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from coopsim import (
     ModelParams,
     PowerSet,
+    UnstableChainError,
     step_pu_queue,
     step_su_queue,
     update_virtual_queue,
@@ -93,8 +94,11 @@ def test_power_set_invariants():
 def test_model_params_validation():
     good = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
     assert good.phi_nc == 0.6 and good.phi_c == 0.8 and good.mu_max == 1.0
-    with pytest.raises(ValueError, match="unstable primary queue"):
+    with pytest.raises(UnstableChainError, match="unstable primary queue"):
         ModelParams.two_point(0.7, 0.5, 0.6, 0.8, 0.5)
+    # a_max is checked before the lambda_su range, whose message also names it
+    with pytest.raises(ValueError, match="^a_max must be at least 1$"):
+        ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5, a_max=0)
     with pytest.raises(ValueError):
         ModelParams.two_point(0.5, 0.5, 0.6, 0.8, p_avg=0.0)
     with pytest.raises(ValueError):
