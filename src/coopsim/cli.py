@@ -19,6 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
 from .engine import RNG_NAME, PolicySpec, RunMetrics, run_episode, sweep_v
@@ -68,41 +70,46 @@ def _write_csv(path: Path, meta_line: str | None, header, row_format: str, rows)
     quote or newline, so none needs quoting and the bytes are what
     ``csv.writer`` writes.
     """
+    _write_lines(path, meta_line, header, map(row_format.__mod__, rows))
+
+
+def _write_lines(path: Path, meta_line: str | None, header, lines) -> None:
+    """``_write_csv`` for rows already formatted, one string per row."""
     with open(path, "w", newline="") as fh:
         if meta_line is not None:
             fh.write(meta_line + "\n")
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(map((row_format + "\r\n").__mod__, rows)))
+        # the "" ends the last row, and makes no line when there are no rows
+        fh.write("\r\n".join([*lines, ""]))
 
 
 class _ReprMemo(dict):
-    """``memo[x]`` is ``repr(x)``, each distinct nonzero float formatted once.
+    """``memo[x]`` is ``repr(x)``, each distinct int or float of a column formatted once.
 
-    Zeros are formatted every time and never kept: ``0.0 == -0.0`` with one
-    hash, so a kept zero would lend its text to the other.
+    An int's repr is its ``%d`` text. ``0.0 == -0.0`` with one hash, so zeros
+    are kept only if ``keep_zero`` says the column holds no ``-0.0``.
     """
+
+    def __init__(self, keep_zero: bool) -> None:
+        self.keep_zero = keep_zero
 
     def __missing__(self, x: float) -> str:
         text = repr(x)
-        if x:
+        if x or self.keep_zero:
             self[x] = text
         return text
 
 
 def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
-    # Frames repeat few power and x_su values, so each float column formats
-    # each of its distinct values once, through a memo of its own.
-    rows = zip(
-        range(1, metrics.frames + 1),
-        metrics.frame_len.tolist(),
-        metrics.admitted.tolist(),
-        metrics.served.tolist(),
-        map(_ReprMemo().__getitem__, metrics.power_idle.tolist()),
-        map(_ReprMemo().__getitem__, metrics.power_coop.tolist()),
-        metrics.q_su_end.tolist(),
-        map(_ReprMemo().__getitem__, metrics.x_su_end.tolist()),
-    )
-    _write_csv(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%s,%s,%d,%s", rows)
+    # Frames repeat few values in each column but the frame index, so each
+    # such column formats its values through a memo of its own.
+    texts = [
+        map(_ReprMemo(not np.signbit(column).any()).__getitem__, column.tolist())
+        for column in (metrics.frame_len, metrics.admitted, metrics.served, metrics.power_idle,
+                       metrics.power_coop, metrics.q_su_end, metrics.x_su_end)
+    ]
+    rows = map(",".join, zip(map(repr, range(1, metrics.frames + 1)), *texts))
+    _write_lines(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, rows)
 
 
 def read_frames_csv(path: Path) -> dict[str, list]:

@@ -210,16 +210,22 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     spec = scenario.policy
     lam_pu = par.lambda_pu
     policy = build_policy(spec, par)
+    # each hook is bound per episode, so one patched on its class still runs
     choose = None if spec.kind == "fbdpp" else policy.choose_power
+    begin_frame = policy.begin_frame if choose is None else None
+    p_avg, horizon = par.p_avg, scenario.horizon_frames
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     admit_cap = spec.v if spec.kind == "fbdpp" else math.inf
     q_bound = admit_cap + par.a_max
     slot_cap = scenario.slot_cap
 
-    switches = dict(scenario.lambda_schedule)   # frames completed -> new lambda_pu
+    # (frames completed, new lambda_pu); frame counts start at 1, so 0 never switches
+    switches = iter(scenario.lambda_schedule)
+    next_switch, next_lam = next(switches, (0, lam_pu))
 
     frame_rows: list[tuple] = []   # one _FRAME_ARRAYS row per completed frame
-    q_pu = q_su = frame_start = max_q = 0
+    append_row = frame_rows.append
+    q_pu = q_su = frame_start = max_q = frames = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
     x_su = f_pi = f_pc = 0.0
     # slot = base + bi; a block's rows stop at lim, which the slot cap may cut short
@@ -227,14 +233,14 @@ def run_episode(scenario: Scenario) -> RunMetrics:
 
     p0 = p1 = 0.0
     if choose is None:
-        p0, p1 = policy.begin_frame(q_su, x_su)
+        p0, p1 = begin_frame(q_su, x_su)
     while True:
         if bi == lim:
             base += bi
             bi = 0
             if base >= slot_cap:
                 raise RuntimeError("stopped at the slot cap of %d slots after %d of %d frames"
-                                   % (slot_cap, len(frame_rows), scenario.horizon_frames))
+                                   % (slot_cap, frames, horizon))
             # column 1 is drawn and never read, so each seed keeps its stream
             block = rng.random((_BLOCK, 5))
             arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
@@ -292,20 +298,22 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             continue
         # the busy run just ended the frame
         f_len = base + bi - frame_start
-        x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, par.p_avg)
+        x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, p_avg)
         if not x_su >= 0.0:
             raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
-        frame_rows.append((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
-        if len(frame_rows) in switches:
-            lam_pu = switches[len(frame_rows)]
+        append_row((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
+        frames += 1
+        if frames == horizon:
+            break
+        if frames == next_switch:
+            lam_pu = next_lam
             pu_arrival = (block[:, 4] < lam_pu).tobytes()
+            next_switch, next_lam = next(switches, (0, lam_pu))
         frame_start += f_len
         f_idle = f_adm = f_srv = f_qsum = 0
         f_pi = f_pc = 0.0
-        if len(frame_rows) == scenario.horizon_frames:
-            break
         if choose is None:
-            p0, p1 = policy.begin_frame(q_su, x_su)
+            p0, p1 = begin_frame(q_su, x_su)
             srv, suc = service[p0], success[p1]
 
     columns = list(zip(*frame_rows))    # all at once: a lazy zip peaks 0.4 MiB higher

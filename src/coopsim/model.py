@@ -168,6 +168,8 @@ def update_virtual_queue(
 
     The backlog absorbs the frame's power spend and drains by the frame's
     budget allowance ``frame_len * p_avg``, clamped at zero. Call exactly once
-    per boundary.
+    per boundary. The clamp returns what ``max(x, 0.0)`` returns for every
+    float, ``-0.0`` and NaN included, without the builtin call.
     """
-    return max(x_su - frame_len * p_avg + frame_power_sum, 0.0)
+    x = x_su - frame_len * p_avg + frame_power_sum
+    return 0.0 if 0.0 > x else x

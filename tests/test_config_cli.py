@@ -323,34 +323,51 @@ def test_cli_adaptive(tmp_path, capsys):
             f"frame={k} coop_power_ma={ma[k - 1]:.6f}" for k in checkpoints]
 
 
-@pytest.mark.parametrize("argv, edit", [
+# (argv, config edits, a fragment of the refusal's reason)
+MALFORMED = [
     (["baselines", "--frames", "10"],
-     {"policy = fbdpp": "policy = counter", "v = 500": "v = abc"}),
-    (["analyze"], {"v = 500": "v = abc"}),
-    (["oracle", "--validate"], {"seed = 42": "seed = x1"}),
-    (["run"], {"seed = 42": "seed = 42\nv_list = 10, abc"}),   # a key run never reads
-    (["sweep"], {"seed = 42": "seed = 42\nv_list = 10, -5"}),  # not only the first v
-    (["analyze"], {"seed = 42": "seed = 42\nv_list = 5, 0"}),
-    (["oracle"], {"policy = fbdpp": "policy = bogus"}),
-    (["analyze"], {"policy = fbdpp": "policy = bogus"}),
-    (["run", "--seed", "-1"], {}),
-    (["oracle", "--validate"], {"seed = 42": "seed = -1"}),
-    (["analyze"], {"v = 500": "v = 0"}),
-    (["baselines", "--frames", "10"], {"policy = fbdpp": "policy = counter", "v = 500": "v = -1"}),
-    (["run"], {"policy = fbdpp": "policy = stationary"}),
-    (["run"], {"seed = 42": "seed = 42\nstationary_q = 0.3"}),
-    (["analyze"], {"lambda_pu = 0.5": "lambda_pu = 0"}),        # unbounded frame moments
-    (["baselines", "--frames", "10"], {"lambda_pu = 0.5": "lambda_pu = 0"}),
-    (["run"], {"seed = 42": "seed = 42\nwindow = 0"}),           # a key run never reads
-    (["adaptive"], {"seed = 42": "seed = 42\nwindow = 0"}),
-    (["adaptive", "--window", "0"], {}),
-    (["run"], {"seed = 42": "seed = 42\na_max = 0"}),
-    (["run"], {"lambda_pu = 0.5": "lambda_pu = 0"}),           # no frame would ever end
-    (["adaptive"], {"lambda_pu = 0.5": "lambda_pu = 0"}),
-    (["sweep"], {"lambda_pu = 0.5": "lambda_pu = 0\nv_list = 10, 50"}),
-    (["adaptive"], {"seed = 42": "seed = 42\nlambda_schedule = 3:0"}),
-])
-def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
+     {"policy = fbdpp": "policy = counter", "v = 500": "v = abc"},
+     "v: could not convert string to float: 'abc'"),
+    (["analyze"], {"v = 500": "v = abc"}, "v: could not convert string to float: 'abc'"),
+    (["oracle", "--validate"], {"seed = 42": "seed = x1"},
+     "seed: invalid literal for int() with base 10: 'x1'"),
+    (["run"], {"seed = 42": "seed = 42\nv_list = 10, abc"},    # a key run never reads
+     "v_list: bad list '10, abc'"),
+    (["sweep"], {"seed = 42": "seed = 42\nv_list = 10, -5"},   # not only the first v
+     "v_list: v must be positive, got -5"),
+    (["analyze"], {"seed = 42": "seed = 42\nv_list = 5, 0"}, "v_list: v must be positive, got 0"),
+    (["oracle"], {"policy = fbdpp": "policy = bogus"}, "policy: unknown policy kind 'bogus'"),
+    (["analyze"], {"policy = fbdpp": "policy = bogus"}, "policy: unknown policy kind 'bogus'"),
+    (["run", "--seed", "-1"], {}, "override: seed: must be at least 0, got -1"),
+    (["oracle", "--validate"], {"seed = 42": "seed = -1"}, "seed: must be at least 0, got -1"),
+    (["analyze"], {"v = 500": "v = 0"}, "v: v must be positive, got 0"),
+    (["baselines", "--frames", "10"], {"policy = fbdpp": "policy = counter", "v = 500": "v = -1"},
+     "v: v must be positive, got -1"),
+    (["run"], {"policy = fbdpp": "policy = stationary"},
+     "policy: unknown policy kind 'stationary'"),
+    (["run"], {"seed = 42": "seed = 42\nstationary_q = 0.3"}, "unknown key 'stationary_q'"),
+    (["analyze"], {"lambda_pu = 0.5": "lambda_pu = 0"},        # unbounded frame moments
+     "frame moments are unbounded when lambda_pu = 0"),
+    (["baselines", "--frames", "10"], {"lambda_pu = 0.5": "lambda_pu = 0"},
+     "no frame ends at rate 0"),
+    (["run"], {"seed = 42": "seed = 42\nwindow = 0"},           # a key run never reads
+     "window: must be at least 1, got 0"),
+    (["adaptive"], {"seed = 42": "seed = 42\nwindow = 0"}, "window: must be at least 1, got 0"),
+    (["adaptive", "--window", "0"], {}, "override: window: must be at least 1, got 0"),
+    (["run"], {"seed = 42": "seed = 42\na_max = 0"}, "a_max must be at least 1"),
+    (["run"], {"lambda_pu = 0.5": "lambda_pu = 0"},           # no frame would ever end
+     "no frame ends at rate 0"),
+    (["adaptive"], {"lambda_pu = 0.5": "lambda_pu = 0"}, "no frame ends at rate 0"),
+    (["sweep"], {"lambda_pu = 0.5": "lambda_pu = 0\nv_list = 10, 50"}, "no frame ends at rate 0"),
+    (["adaptive"], {"seed = 42": "seed = 42\nlambda_schedule = 3:0"},
+     "scheduled rates included: no frame ends at rate 0"),
+]
+
+
+# each case's id is its position, argv<i>-edit<i>
+@pytest.mark.parametrize("argv, edit, reason", MALFORMED,
+                         ids=[f"argv{i}-edit{i}" for i in range(len(MALFORMED))])
+def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit, reason):
     text = BASE
     for old, new in edit.items():
         text = text.replace(old, new)
@@ -358,6 +375,7 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit):
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("config error:")
+    assert reason in err                        # refused for this case's reason
     assert out == ""                            # nothing printed before the refusal
     assert not (tmp_path / "out").exists()      # refused before anything is written
 
@@ -575,6 +593,16 @@ def test_episode_writers_match_csv_writer(tmp_path, v):
     assert cols["q_su_end"] == m.q_su_end.tolist()
 
 
+def _frames_as_formatted(tmp_path, m):
+    """frames.csv of ``m``, asserted equal to one %-format per row; returns its bytes."""
+    write_frames_csv(tmp_path / "frames.csv", m)
+    _write_csv(tmp_path / "plain.csv", _meta(m), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%r,%r,%d,%r",
+               _frames_rows(m))
+    written = (tmp_path / "frames.csv").read_bytes()
+    assert written == (tmp_path / "plain.csv").read_bytes()
+    return written
+
+
 def test_frames_writer_memo_keeps_each_float_text(tmp_path):
     # Signed zeros compare equal and share a hash, so a memo keyed on the float
     # could give one the other's text; nan equals nothing, not even itself.
@@ -583,12 +611,36 @@ def test_frames_writer_memo_keeps_each_float_text(tmp_path):
     k = np.arange(3 * len(values))
     m = replace(_crafted_metrics(len(k)), power_idle=np.resize(values, len(k)),
                 power_coop=np.resize(values[::-1], len(k)), x_su_end=np.resize(values[1:], len(k)))
-    write_frames_csv(tmp_path / "frames.csv", m)
-    _write_csv(tmp_path / "plain.csv", _meta(m), FRAMES_CSV_COLUMNS, "%d,%d,%d,%d,%r,%r,%d,%r",
-               _frames_rows(m))
-    written = (tmp_path / "frames.csv").read_bytes()
-    assert written == (tmp_path / "plain.csv").read_bytes()
+    written = _frames_as_formatted(tmp_path, m)
     assert b",-0.0," in written and b",0.0," in written and b",nan," in written
+
+
+def test_frames_writer_int_columns_keep_each_int_text(tmp_path):
+    # zeros, repeats and the largest int64, in every int column
+    values = np.array([0, 0, 7, 2**63 - 1, 7, 0, 2**63 - 1, 1, 0], dtype=np.int64)
+    n = 3 * len(values)
+    m = replace(_crafted_metrics(n), frame_len=np.resize(values, n),
+                admitted=np.resize(values[::-1], n), served=np.resize(values[1:], n),
+                q_su_end=np.resize(values[2:], n))
+    written = _frames_as_formatted(tmp_path, m)
+    assert b",9223372036854775807," in written and b",0," in written
+
+
+def test_frames_writer_int_and_float_columns_keep_their_own_text(tmp_path):
+    # 1 == 1.0 and 0 == 0.0 with one hash each, but every column has a memo of its own
+    ones, zeros = np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    m = replace(_crafted_metrics(4), frame_len=ones, admitted=ones, served=zeros,
+                power_idle=np.ones(4), power_coop=np.zeros(4), q_su_end=zeros,
+                x_su_end=np.array([1.0, 0.0, 1.0, 0.0]))
+    written = _frames_as_formatted(tmp_path, m)
+    assert written.split(b"\r\n")[1:3] == [b"1,1,1,0,1.0,0.0,0,1.0", b"2,1,1,0,1.0,0.0,0,0.0"]
+
+
+def test_frames_writer_zero_frames_writes_the_header_only(tmp_path):
+    m = _crafted_metrics(0)
+    header = (_meta(m) + "\n" + ",".join(FRAMES_CSV_COLUMNS) + "\r\n").encode()
+    assert _frames_as_formatted(tmp_path, m) == header
+    assert header == _csv_writer_bytes(_meta(m), FRAMES_CSV_COLUMNS, [])
 
 
 def test_sweep_and_oracle_writers_match_csv_writer(tmp_path):

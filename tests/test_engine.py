@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,19 @@ def test_kernel_matches_one_slot_spec_quiet_primary(spec):
     idle_ends = starts + ref["idle_len"] - 1
     assert np.count_nonzero(starts // 8192 != idle_ends // 8192) >= 3
     _assert_same_metrics(run_episode(sc), ref)
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+def test_kernel_matches_one_slot_spec_switch_after_frames_one_two_and_horizon(spec):
+    # the rate switches after the first frame, after the second, and at the horizon
+    horizon = 300
+    schedule = ((1, 0.3), (2, 0.45), (horizon, 0.2))
+    sc = Scenario(params=REF, policy=spec, horizon_frames=horizon, seed=13,
+                  lambda_schedule=schedule)
+    m = run_episode(sc)
+    _assert_same_metrics(m, _reference_episode(sc))
+    # no slot runs at the rate a switch at the horizon sets
+    _assert_same_metrics(m, _reference_episode(replace(sc, lambda_schedule=schedule[:2])))
 
 
 def _count_blocks(monkeypatch):

@@ -1,5 +1,7 @@
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coopsim import (
     ModelParams,
@@ -59,6 +61,24 @@ def test_virtual_queue_lower_bound(x, frame_len, power, p_avg):
     assert out >= x + power - frame_len * p_avg - 1e-9
     if power <= frame_len * p_avg - x:
         assert out == 0.0
+
+
+@given(x=st.floats(), frame_len=st.integers(min_value=0, max_value=10**6),
+       power=st.floats(), p_avg=st.floats())
+@example(x=-0.0, frame_len=0, power=-0.0, p_avg=0.0)       # x - n * p_avg + power is -0.0
+@example(x=0.0, frame_len=3, power=0.0, p_avg=0.0)
+@example(x=float("nan"), frame_len=1, power=0.0, p_avg=0.5)
+@example(x=float("inf"), frame_len=1, power=0.0, p_avg=0.5)
+@example(x=float("-inf"), frame_len=1, power=1.0, p_avg=0.5)
+@example(x=float("inf"), frame_len=1, power=float("-inf"), p_avg=0.5)   # nan
+@example(x=5e-324, frame_len=0, power=0.0, p_avg=1.0)       # subnormal
+@example(x=-5e-324, frame_len=0, power=0.0, p_avg=1.0)
+@example(x=2.2250738585072014e-308, frame_len=1, power=0.0, p_avg=1e-308)
+def test_update_virtual_queue_is_max_bit_for_bit(x, frame_len, power, p_avg):
+    # the clamp returns the very float max(., 0.0) returns, sign of zero and nan included
+    got = update_virtual_queue(x, frame_len, power, p_avg)
+    want = max(x - frame_len * p_avg + power, 0.0)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 @given(
