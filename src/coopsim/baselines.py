@@ -8,9 +8,10 @@ for cooperation: its idle-slot gate charges every busy slot seen so far at
 peak power, whether or not the gate was open then, so its own traffic only
 uses power that cooperation could never claim. Their one hook,
 ``choose_power(idle)``, runs once per slot and writes ``budget_gate`` inline,
-so a slot costs one call; a test holds every hook to ``budget_gate``. None of
-them draws randomness; the best stationary randomized policy lives in
-``oracle``.
+so a slot costs one call; a test holds every hook to ``budget_gate``. Their
+counters are floats holding exact counts, so each gate is float with float.
+None of them draws randomness; the best stationary randomized policy lives
+in ``oracle``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .model import ModelParams
 def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
     """Peak power while ``spend`` per elapsed slot is under the budget, else 0.
 
-    The one statement of the gate. The hooks inline it with ``slots or 1``,
-    which is ``max(slots, 1)`` for any slot count of 0 or more.
+    The one statement of the gate. The hooks inline it with ``slots or 1.0``,
+    which is ``max(slots, 1)`` as a float for any slot count of 0 or more.
     """
     return p_max if spend / max(slots, 1) < p_avg else 0.0
 
@@ -32,24 +33,25 @@ class _OpenLoopPolicy:
 
     ``choose_power`` is the one hook, and every call is one slot: the power
     it returns is added to ``spend`` and the call to ``slots``, the running
-    counters the budget gate reads. ``p_avg`` and ``p_max`` are copied from
-    the model once, since every slot reads them.
+    counters the budget gate reads, both floats (a count is exact below 2**53,
+    so each gate gives the float an int count would). ``p_avg`` and ``p_max``
+    are copied from the model once, since every slot reads them.
     """
 
     def __init__(self, params: ModelParams):
         self.p_avg = params.p_avg
         self.p_max = params.p_max
         self.spend = 0.0
-        self.slots = 0
+        self.slots = 0.0
 
 
 class NoCoopPolicy(_OpenLoopPolicy):
     """Idle-only transmission at peak power, budget-gated."""
 
     def choose_power(self, idle: bool) -> float:
-        power = self.p_max if idle and self.spend / (self.slots or 1) < self.p_avg else 0.0
+        power = self.p_max if idle and self.spend / (self.slots or 1.0) < self.p_avg else 0.0
         self.spend += power
-        self.slots += 1
+        self.slots += 1.0
         return power
 
 
@@ -58,20 +60,20 @@ class AlwaysCoopPolicy(_OpenLoopPolicy):
 
     def __init__(self, params: ModelParams):
         super().__init__(params)
-        self.busy_slots_seen = 0
+        self.busy_slots_seen = 0.0
         self.idle_power_spent = 0.0
 
     def choose_power(self, idle: bool) -> float:
         p_max = self.p_max
         if idle:
             reserved = self.busy_slots_seen * p_max + self.idle_power_spent
-            power = p_max if reserved / (self.slots or 1) < self.p_avg else 0.0
+            power = p_max if reserved / (self.slots or 1.0) < self.p_avg else 0.0
             self.idle_power_spent += power
         else:
-            self.busy_slots_seen += 1
-            power = p_max if self.spend / (self.slots or 1) < self.p_avg else 0.0
+            self.busy_slots_seen += 1.0
+            power = p_max if self.spend / (self.slots or 1.0) < self.p_avg else 0.0
         self.spend += power
-        self.slots += 1
+        self.slots += 1.0
         return power
 
 
@@ -79,7 +81,7 @@ class CounterPolicy(_OpenLoopPolicy):
     """Transmit or cooperate at peak power while under the running average."""
 
     def choose_power(self, idle: bool) -> float:
-        power = self.p_max if self.spend / (self.slots or 1) < self.p_avg else 0.0
+        power = self.p_max if self.spend / (self.slots or 1.0) < self.p_avg else 0.0
         self.spend += power
-        self.slots += 1
+        self.slots += 1.0
         return power

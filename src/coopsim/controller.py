@@ -94,10 +94,11 @@ class FrameRule:
 
         The value at power 0 is ``q_su * mu_su(0) >= 0``, so it is never negative.
         """
+        q = float(q_su_frame)   # the float an int q_su becomes in q_su * mu, once
         best_p = 0.0
         best_val = None
         for p, mu in self.idle:
-            val = q_su_frame * mu - x_su_frame * p
+            val = q * mu - x_su_frame * p
             if best_val is None or val > best_val:
                 best_p, best_val = p, val
         return best_p, best_val

@@ -14,7 +14,8 @@ spent whether or not the secondary queue has a packet. No policy draws
 randomness.
 The engine does admission and both queue steps inline, and only a slot with
 a secondary arrival runs the admission and backlog-bound code: fbdpp admits
-while the backlog is at most v, the others always. ``step_pu_queue``,
+while the backlog is at most v, held as the int ``floor(v)``, the others
+under ``a_max * slot_cap``, which no backlog reaches. ``step_pu_queue``,
 ``step_su_queue`` and ``admit`` state the same slot helper by helper; the
 tests hold the engine to them. One seeded generator draws five uniforms per
 slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
@@ -63,7 +64,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "fbdpp" and (self.v is None or self.v <= 0):
+        if self.kind == "fbdpp" and (self.v is None or not self.v > 0):
             raise ValueError("fbdpp needs a positive v")
 
     def label(self) -> str:
@@ -201,10 +202,12 @@ class RunMetrics:
 def run_episode(scenario: Scenario) -> RunMetrics:
     """Simulate ``horizon_frames`` complete frames and collect metrics.
 
-    Raises RuntimeError if the scenario's ``slot_cap`` is reached before the
-    horizon completes, or if the backlog bound ``admit cap + a_max``, a
-    non-negative virtual backlog at every boundary, or the virtual-queue
-    identity ``total power - p_avg * slots <= x_su`` is ever violated.
+    The admission cap is an int: ``floor(v)`` for fbdpp, ``a_max * slot_cap``
+    (never reached) for the other kinds. Raises RuntimeError if the scenario's
+    ``slot_cap`` is reached before the horizon completes, or if the backlog
+    bound ``admit cap + a_max``, a non-negative virtual backlog at every
+    boundary, or the virtual-queue identity ``total power - p_avg * slots <=
+    x_su`` is ever violated.
     """
     par = scenario.params
     spec = scenario.policy
@@ -215,9 +218,10 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     begin_frame = policy.begin_frame if choose is None else None
     p_avg, horizon = par.p_avg, scenario.horizon_frames
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
-    admit_cap = spec.v if spec.kind == "fbdpp" else math.inf
-    q_bound = admit_cap + par.a_max
     slot_cap = scenario.slot_cap
+    v = spec.v if spec.kind == "fbdpp" else math.inf
+    admit_cap = math.floor(min(v, par.a_max * slot_cap))
+    q_bound = admit_cap + par.a_max
 
     # (frames completed, new lambda_pu); frame counts start at 1, so 0 never switches
     switches = iter(scenario.lambda_schedule)
@@ -272,7 +276,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
                     if q_su > max_q:
                         max_q = q_su
                         if q_su > q_bound:
-                            raise RuntimeError(_BOUND_ERROR % (q_su, q_bound))
+                            raise RuntimeError(_BOUND_ERROR % (q_su, v + par.a_max))
                 if q_pu:
                     f_idle = base + bi - frame_start
                     break
@@ -293,7 +297,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
                 if q_su > max_q:
                     max_q = q_su
                     if q_su > q_bound:
-                        raise RuntimeError(_BOUND_ERROR % (q_su, q_bound))
+                        raise RuntimeError(_BOUND_ERROR % (q_su, v + par.a_max))
         if q_pu:
             continue
         # the busy run just ended the frame

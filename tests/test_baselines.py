@@ -104,7 +104,14 @@ def test_slack_budget_acts_like_unconstrained():
 
 
 class _GatedNoCoop(NoCoopPolicy):
-    """``NoCoopPolicy.choose_power`` as it read with a ``budget_gate`` call."""
+    """``NoCoopPolicy.choose_power`` as it read with a ``budget_gate`` call.
+
+    Each ``_Gated*`` spec keeps its slot counts as ints, as the hooks once did.
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.slots = 0
 
     def choose_power(self, idle):
         power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max) if idle else 0.0
@@ -115,6 +122,10 @@ class _GatedNoCoop(NoCoopPolicy):
 
 class _GatedAlwaysCoop(AlwaysCoopPolicy):
     """``AlwaysCoopPolicy.choose_power`` as it read with ``budget_gate`` calls."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.slots = self.busy_slots_seen = 0
 
     def choose_power(self, idle):
         p_max = self.p_max
@@ -133,6 +144,10 @@ class _GatedAlwaysCoop(AlwaysCoopPolicy):
 class _GatedCounter(CounterPolicy):
     """``CounterPolicy.choose_power`` as it read with a ``budget_gate`` call."""
 
+    def __init__(self, params):
+        super().__init__(params)
+        self.slots = 0
+
     def choose_power(self, idle):
         power = budget_gate(self.spend, self.slots, self.p_avg, self.p_max)
         self.spend += power
@@ -141,6 +156,7 @@ class _GatedCounter(CounterPolicy):
 
 
 _STATE = ("spend", "slots", "busy_slots_seen", "idle_power_spent")
+_COUNTS = ("slots", "busy_slots_seen")
 # preset counters: fresh, over budget, under it, and reserve-heavy for always_coop
 _PRESETS = (
     {},
@@ -159,7 +175,9 @@ _PRESETS = (
 def test_inline_gate_matches_budget_gate(inline, gated, p_max):
     # p_avg = 1/3 makes exact ties at spend / slots == p_avg, p_max = 0.7 makes
     # spend a sum that rounds, and p_avg = 0 never opens the gate; at p_avg =
-    # 0.1 and 0.2, ``spend < p_avg * slots`` differs from the gate's division
+    # 0.1 and 0.2, ``spend < p_avg * slots`` differs from the gate's division.
+    # The hooks count in floats, the specs in ints: each preset takes the type
+    # of the counter it sets, and the two must still agree bit for bit
     g = np.random.default_rng(int(p_max * 10))
     for p_avg in (0.5, 0.3, 1 / 3, 0.0, 0.1, 0.2):
         params = SimpleNamespace(p_avg=p_avg, p_max=p_max)
@@ -168,8 +186,12 @@ def test_inline_gate_matches_budget_gate(inline, gated, p_max):
             for pol in (new, old):
                 for name, value in preset.items():
                     if hasattr(pol, name):
-                        setattr(pol, name, value)
+                        setattr(pol, name, type(getattr(pol, name))(value))
             idle = (g.random(10_000) < g.uniform(0.2, 0.8)).tolist()
             assert [new.choose_power(i) for i in idle] == [old.choose_power(i) for i in idle]
             assert [getattr(new, n, None) for n in _STATE] == [
                 getattr(old, n, None) for n in _STATE]
+            for name in _COUNTS:
+                if hasattr(new, name):
+                    assert type(getattr(new, name)) is float, name
+                    assert type(getattr(old, name)) is int, name

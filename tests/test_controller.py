@@ -332,10 +332,11 @@ def _spec_pair(q, x, params):
 
 
 def test_frame_decision_matches_the_rule_on_the_two_point_lattice():
-    # every integer backlog and every half-step virtual backlog, ties included
-    pol = FrameDriftPenaltyPolicy(REF)
+    # every integer backlog and every half-step virtual backlog, ties included;
+    # each pair is asked once, so one policy per row keeps the memo to a row
     mismatches = []
     for q in range(601):
+        pol = FrameDriftPenaltyPolicy(REF)
         for k in range(1200):
             x = 0.5 * k
             if pol.begin_frame(q, x) != _spec_pair(q, x, REF):

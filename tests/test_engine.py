@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,31 @@ def test_kernel_matches_one_slot_spec(params, spec):
     for frame_index, _ in schedule:
         assert ref["frame_len"][:frame_index].sum() % 8192 != 0
     _assert_same_metrics(run_episode(sc), ref)
+
+
+@pytest.mark.parametrize("switch", [False, True], ids=["steady", "switch"])
+@pytest.mark.parametrize("params", [REF, GRID], ids=["two_point", "grid"])
+@pytest.mark.parametrize("v", [7.5, 0.5, math.inf])
+def test_kernel_matches_one_slot_spec_at_fractional_and_infinite_v(v, params, switch):
+    # the kernel admits against the int floor(v), the spec against the float v
+    schedule = ((700, 0.3), (1500, params.lambda_pu)) if switch else ()
+    sc = Scenario(params=params, policy=PolicySpec(kind="fbdpp", v=v), horizon_frames=2000,
+                  seed=21, lambda_schedule=schedule)
+    ref = _reference_episode(sc)
+    for frame_index, _ in schedule:
+        assert ref["frame_len"][:frame_index].sum() % 8192 != 0
+    m = run_episode(sc)
+    _assert_same_metrics(m, ref)
+    assert m.frames == sc.horizon_frames        # v = inf runs to completion too
+    if v < math.inf:     # the cap binds: the backlog reaches floor(v) + a_max
+        assert m.max_q_su == math.floor(v) + params.a_max
+
+
+@pytest.mark.parametrize("v", [math.nan, 0.0, -1.0, -math.inf, None])
+def test_fbdpp_refuses_a_v_that_is_not_positive(v):
+    # NaN is not positive either: it must not reach the kernel's floor(v)
+    with pytest.raises(ValueError, match="fbdpp needs a positive v"):
+        PolicySpec(kind="fbdpp", v=v)
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
