@@ -46,7 +46,6 @@ from .model import (
 from .montecarlo import (
     arrival_counts,
     batch_mean_stderr,
-    binomial_cdf,
     sample_busy_periods,
     sample_frames,
     sample_idle_periods,

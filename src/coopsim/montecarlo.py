@@ -9,8 +9,9 @@ first-passage times of the walk sum(success - arrival) to levels 1, 2, 3...
 That observation lets millions of runs be drawn with a handful of numpy
 passes instead of a slot loop. The walk is drawn in fixed chunks, which fix
 the uniform stream, and run in cache-sized sub-blocks through buffers
-allocated once per call: about 2.4 MiB plus 24 bytes per sampled run
-(200,000 frames peak near 8.4 MiB), at any sample count.
+allocated once per call: about 0.6 MiB beside the returned lengths, so
+16 bytes per frame for ``sample_frames`` (200,000 frames peak near
+3.6 MiB), at any sample count.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def _check_count(n: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {n}")
 
 
+def _check_busy(lambda_pu: float, success_prob: float) -> None:
+    if not 0.0 <= lambda_pu < success_prob <= 1.0:
+        raise ValueError("need 0 <= lambda_pu < success_prob <= 1")
+
+
+def _check_idle(lambda_pu: float) -> None:
+    if not 0.0 < lambda_pu < 1.0:
+        raise ValueError("lambda_pu must lie in (0, 1) for finite idle runs")
+
+
 def sample_busy_periods(
     lambda_pu: float,
     success_prob: float,
@@ -64,57 +75,71 @@ def sample_busy_periods(
     The uniform stream is a sequence of whole chunks of ``_CHUNK_SLOTS``
     slots: all of a chunk's success uniforms, then all of its arrival
     uniforms. They are drawn ``_SUB_SLOTS`` at a time into one reused
-    buffer; the successes are kept as one bool per slot, and the walk runs
-    one arrival sub-block at a time, carrying its value into the first step,
+    buffer; the successes are kept as packed bits, and the walk runs one
+    arrival sub-block at a time, relative to the walk's value before it,
     until ``n_periods`` ends are found. The rest of the chunk is still
     drawn, so the generator ends where a whole-chunk draw leaves it. Every
     pass writes into buffers allocated once per call; memory is about
-    2.4 MiB plus 24 bytes per period (the run ends, and ``np.diff``'s copy
-    and result), however long the walk.
+    0.6 MiB plus the returned 8 bytes per period, however long the walk.
     """
     _check_count(n_periods, "n_periods")
-    if not 0.0 <= lambda_pu < success_prob <= 1.0:
-        raise ValueError("need 0 <= lambda_pu < success_prob <= 1")
-    ends = np.empty(n_periods, dtype=np.int64)
+    _check_busy(lambda_pu, success_prob)
+    lengths = np.empty(n_periods, dtype=np.int64)
     found = 0
+    last_end = -1
     chunk_start = 0
     walk_carry = 0
-    blocks = [(lo, min(lo + _SUB_SLOTS, _CHUNK_SLOTS)) for lo in range(0, _CHUNK_SLOTS, _SUB_SLOTS)]
     sub = min(_SUB_SLOTS, _CHUNK_SLOTS)
+    blocks = [(lo, min(lo + sub, _CHUNK_SLOTS)) for lo in range(0, _CHUNK_SLOTS, sub)]
+    # one row of packed success bits, and one success count, per sub-block
+    dep_bits = np.empty((len(blocks), (sub + 7) // 8), dtype=np.uint8)
+    successes = [0] * len(blocks)
     u = np.empty(sub)
-    dep = np.empty(_CHUNK_SLOTS, dtype=bool)
-    arr = np.empty(sub, dtype=bool)
+    hit = np.empty(sub, dtype=bool)
+    step = np.empty(sub, dtype=np.int8)
     new_level = np.empty(sub, dtype=bool)
-    # slot 0 holds `found`, slots 1.. the sub-block's walk, then its running max
-    high = np.empty(sub + 1, dtype=np.int64)
+    # slot 0 holds the gap, slots 1.. the sub-block's walk, then its running max
+    high = np.empty(sub + 1, dtype=np.int32)
     while found < n_periods:
-        for lo, hi in blocks:
-            np.less(rng.random(out=u[: hi - lo]), success_prob, out=dep[lo:hi])
-        for lo, hi in blocks:
+        for k, (lo, hi) in enumerate(blocks):
+            m = hi - lo
+            np.less(rng.random(out=u[:m]), success_prob, out=hit[:m])
+            successes[k] = np.count_nonzero(hit[:m])
+            dep_bits[k, : (m + 7) // 8] = np.packbits(hit[:m])
+        for k, (lo, hi) in enumerate(blocks):
             m = hi - lo
             rng.random(out=u[:m])
             if found == n_periods:
                 continue
+            arrivals = np.less(u[:m], lambda_pu, out=hit[:m])
+            # The walk's running maximum so far is `found`, `gap` above the
+            # walk's value. Relative to that value, the running maximum
+            # seeded with `gap` rises by one exactly where the walk first
+            # reaches a new level. A sub-block rises by at most m, so with
+            # gap >= m it reaches none; otherwise every value lies in
+            # [-m, m] and fits int32.
+            gap = found - walk_carry
+            if gap >= m:
+                walk_carry += successes[k] - np.count_nonzero(arrivals)
+                continue
             walk = high[1 : m + 1]
-            np.subtract(dep[lo:hi], np.less(u[:m], lambda_pu, out=arr[:m]), out=walk,
-                        dtype=np.int64)
-            walk[0] += walk_carry
-            np.cumsum(walk, out=walk)
-            walk_carry = int(walk[-1])
-            # Levels above `found` lie above every earlier walk value, so the
-            # running maximum seeded with `found` is the walk's running
-            # maximum since its start, and it rises by one exactly where the
-            # walk first reaches a level.
-            high[0] = found
+            np.subtract(np.unpackbits(dep_bits[k], count=m).view(np.int8),
+                        arrivals.view(np.int8), out=step[:m])
+            np.cumsum(step[:m], dtype=np.int32, out=walk)
+            walk_carry += int(walk[-1])
+            high[0] = gap
             np.maximum.accumulate(high[: m + 1], out=high[: m + 1])
-            if high[m] == found:
+            if high[m] == gap:
                 continue
             np.greater(high[1 : m + 1], high[:m], out=new_level[:m])
-            idx = np.flatnonzero(new_level[:m])[: n_periods - found]
-            ends[found : found + len(idx)] = idx + (chunk_start + lo)
-            found += len(idx)
+            ends = np.flatnonzero(new_level[:m])[: n_periods - found]
+            ends += chunk_start + lo
+            lengths[found] = ends[0] - last_end
+            np.subtract(ends[1:], ends[:-1], out=lengths[found + 1 : found + len(ends)])
+            last_end = int(ends[-1])
+            found += len(ends)
         chunk_start += _CHUNK_SLOTS
-    return np.diff(ends, prepend=-1)
+    return lengths
 
 
 def sample_idle_periods(
@@ -122,8 +147,7 @@ def sample_idle_periods(
 ) -> np.ndarray:
     """Draw idle-run lengths: geometric on {1, 2, ...} with mean 1/lambda_pu."""
     _check_count(n_periods, "n_periods")
-    if not 0.0 < lambda_pu < 1.0:
-        raise ValueError("lambda_pu must lie in (0, 1) for finite idle runs")
+    _check_idle(lambda_pu)
     return rng.geometric(lambda_pu, size=n_periods)
 
 
@@ -133,11 +157,17 @@ def sample_frames(
     n_frames: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw frame lengths (independent idle run + busy run)."""
+    """Draw frame lengths (independent idle run + busy run).
+
+    Both probabilities are checked before anything is drawn, so a refused
+    call leaves ``rng`` where it was.
+    """
     _check_count(n_frames, "n_frames")
-    idle = sample_idle_periods(lambda_pu, n_frames, rng)
-    busy = sample_busy_periods(lambda_pu, success_prob, n_frames, rng)
-    return idle + busy
+    _check_idle(lambda_pu)
+    _check_busy(lambda_pu, success_prob)
+    frames = sample_idle_periods(lambda_pu, n_frames, rng)
+    frames += sample_busy_periods(lambda_pu, success_prob, n_frames, rng)
+    return frames
 
 
 def batch_mean_stderr(samples: np.ndarray, n_batches: int = 50) -> tuple[float, float]:

@@ -205,11 +205,14 @@ def whole_chunk_busy_periods(lambda_pu, success_prob, n_periods, g):
 
 # Small chunks put many chunk and sub-block boundaries within a few hundred
 # periods; sub-blocks that do not divide the chunk, or exceed it, included.
+# Sub-blocks of 16 slots leave near-critical walks more than a sub-block
+# below their next level, so the skip branch runs too.
 @pytest.mark.parametrize("chunk, sub, sizes", [
     (256, 64, (0, 1, 7, 40, 300)),
     (256, 100, (0, 1, 7, 40, 300)),
     (256, 512, (0, 1, 7, 40, 300)),
     (montecarlo._CHUNK_SLOTS, montecarlo._SUB_SLOTS, (0, 1, 300_000)),
+    (256, 16, (0, 1, 7, 40, 300)),
 ])
 def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
     monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", chunk)
@@ -239,6 +242,15 @@ def test_samplers_refuse_negative_counts_and_draw_nothing_for_zero(draw):
     assert g.bit_generator.state == state
 
 
+@pytest.mark.parametrize("success_prob", [0.4, float("nan")], ids=["below_lambda", "nan"])
+def test_frame_sampler_refuses_bad_probabilities_before_drawing(success_prob):
+    g = rng(5)
+    state = g.bit_generator.state
+    with pytest.raises(ValueError):
+        sample_frames(0.5, success_prob, 10, g)
+    assert g.bit_generator.state == state
+
+
 @pytest.mark.parametrize("n_batches", [0, 1])
 def test_batch_mean_stderr_needs_two_batches(n_batches):
     with pytest.raises(ValueError, match="at least 2 batches"):
@@ -252,4 +264,4 @@ def test_frame_sampler_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 5 * 2**20
