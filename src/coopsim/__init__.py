@@ -27,6 +27,7 @@ from .controller import (
     solve_p1_fading,
 )
 from .engine import (
+    BlockSource,
     PolicySpec,
     RunMetrics,
     Scenario,

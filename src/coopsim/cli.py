@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
-from .engine import RNG_NAME, PolicySpec, RunMetrics, run_episode, sweep_v
+from .engine import RNG_NAME, BlockSource, PolicySpec, RunMetrics, run_episode, sweep_v
 from .model import ModelParams
 from .oracle import (
     StationaryPolicy,
@@ -313,12 +313,14 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     v = scenario.policy.v if scenario.policy.kind == "fbdpp" else cfg.get("v", 500.0)
     specs = [PolicySpec(kind=kind) for kind in ("no_coop", "always_coop", "counter")]
     specs.append(PolicySpec(kind="fbdpp", v=v))
+    # every row runs on the same seed, so each block is drawn and prepared once
+    source = BlockSource(params, scenario.seed)
     rows = []
     for spec in specs:
         sc = replace(
             scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()
         )
-        rows.append(run_episode(sc))
+        rows.append(run_episode(sc, source))
     print(f"{'policy':<14} {'served':>9} {'admitted':>9} {'avg_power':>10} {'slots':>9}")
     for metrics in rows:
         print(

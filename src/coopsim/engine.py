@@ -19,11 +19,19 @@ under ``a_max * slot_cap``, which no backlog reaches. ``step_pu_queue``,
 ``step_su_queue`` and ``admit`` state the same slot helper by helper; the
 tests hold the engine to them. One seeded generator draws five uniforms per
 slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
-Each block is turned once into a list of arrival counts and one byte string
-per 0/1 outcome (primary success and secondary service per power level,
-primary arrival), whose items index as the ints 0 and 1. A sweep runs its
-episodes one after another in the calling process. The best stationary
-randomized policy is simulated by ``oracle.simulate_stationary``.
+``_prepare`` turns each block once into a list of arrival counts and one
+byte string per 0/1 outcome (primary success and secondary service per power
+level), whose items index as the ints 0 and 1, and keeps column 4, which an
+episode compares with its primary rate. An episode reads its blocks from a
+block source. By default it draws a private one that keeps no block it has
+passed, so a long episode holds one block at a time. ``BlockSource`` keeps
+every prepared block it hands out, about 160 KiB per block on a two-point
+set, for other episodes on the same seed and params: ``baselines`` runs its
+four rows on one, so each block is drawn and prepared once per table (about
+5.3 MiB for the rows of ``configs/reference.conf`` at their default
+horizon). A sweep runs its episodes one after another in the calling
+process, each on its own seed. The best stationary randomized policy is
+simulated by ``oracle.simulate_stationary``.
 
 Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
@@ -98,11 +106,12 @@ class Scenario:
                     "unstable primary queue: scheduled lambda_pu=%g must be < phi(0)=%g"
                     % (new_lam, self.params.phi_nc)
                 )
-        # an idle run ends only at a primary arrival, so at rate 0 no frame ends
-        lowest = min([self.params.lambda_pu] + [lam for _, lam in self.lambda_schedule])
-        if not lowest > 0.0:
-            raise ValueError("lambda_pu must be above 0 in an episode, scheduled rates "
-                             "included: no frame ends at rate %g" % lowest)
+        # an idle run ends only at a primary arrival, so at rate 0 no frame ends,
+        # nor at NaN, which no uniform is below
+        for rate in [self.params.lambda_pu] + [lam for _, lam in self.lambda_schedule]:
+            if not rate > 0.0:
+                raise ValueError("lambda_pu must be above 0 in an episode, scheduled rates "
+                                 "included: no frame ends at rate %g" % rate)
 
     @property
     def slot_cap(self) -> int:
@@ -199,15 +208,71 @@ class RunMetrics:
         return (num[k] - num[lo]) / (den[k] - den[lo])
 
 
-def run_episode(scenario: Scenario) -> RunMetrics:
+def _prepare(block: np.ndarray, par: ModelParams) -> tuple:
+    """A uniform block as the kernel reads it, and nothing else of it.
+
+    Returns the arrival counts as a list, ``{p: bytes}`` of primary success
+    and of secondary service per power level, and column 4 as its own array,
+    which the primary's rate, switched by a schedule inside a block or not,
+    is compared with. Column 1 is drawn and never read, so each seed keeps
+    its stream.
+    """
+    levels = par.power_set.levels
+    return (
+        arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist(),
+        {p: (block[:, 2] < par.phi[p]).tobytes() for p in levels},
+        {p: (block[:, 3] < par.mu_su[p]).tobytes() for p in levels},
+        block[:, 4].copy(),
+    )
+
+
+def _draw_blocks(par: ModelParams, seed: int):
+    """``seed``'s prepared blocks in stream order, each drawn when asked for and kept by no one."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    while True:
+        yield _prepare(rng.random((_BLOCK, 5)), par)
+
+
+class BlockSource:
+    """The prepared blocks of one seed and params, for episodes that share them.
+
+    Each block is drawn and prepared once, by the first episode that reaches
+    it, and kept for the others, so episodes of any policy kind and horizon
+    read the blocks a private draw would give them. What is kept is what
+    ``_prepare`` returns, about 160 KiB per 8192-slot block on a two-point
+    set, not the raw block; a source holds every block any of its episodes
+    has reached until it is dropped.
+    """
+
+    def __init__(self, params: ModelParams, seed: int) -> None:
+        self.params = params
+        self.seed = seed
+        self._stream = _draw_blocks(params, seed)
+        self._kept: list[tuple] = []
+
+    def blocks(self):
+        """The prepared blocks in stream order, from the first."""
+        kept = self._kept
+        k = 0
+        while True:
+            if k == len(kept):
+                kept.append(next(self._stream))
+            yield kept[k]
+            k += 1
+
+
+def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMetrics:
     """Simulate ``horizon_frames`` complete frames and collect metrics.
 
-    The admission cap is an int: ``floor(v)`` for fbdpp, ``a_max * slot_cap``
-    (never reached) for the other kinds. Raises RuntimeError if the scenario's
-    ``slot_cap`` is reached before the horizon completes, or if the backlog
-    bound ``admit cap + a_max``, a non-negative virtual backlog at every
-    boundary, or the virtual-queue identity ``total power - p_avg * slots <=
-    x_su`` is ever violated.
+    With no ``source`` the episode draws its own blocks and keeps none it
+    has passed; with one, it reads that source's blocks, which must be for
+    the scenario's seed and params (a ValueError otherwise). Either way the
+    metrics are the same. The admission cap is an int: ``floor(v)`` for
+    fbdpp, ``a_max * slot_cap`` (never reached) for the other kinds. Raises
+    RuntimeError if the scenario's ``slot_cap`` is reached before the
+    horizon completes, or if the backlog bound ``admit cap + a_max``, a
+    non-negative virtual backlog at every boundary, or the virtual-queue
+    identity ``total power - p_avg * slots <= x_su`` is ever violated.
     """
     par = scenario.params
     spec = scenario.policy
@@ -217,7 +282,12 @@ def run_episode(scenario: Scenario) -> RunMetrics:
     choose = None if spec.kind == "fbdpp" else policy.choose_power
     begin_frame = policy.begin_frame if choose is None else None
     p_avg, horizon = par.p_avg, scenario.horizon_frames
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
+    if source is None:
+        blocks = _draw_blocks(par, scenario.seed)
+    elif source.seed != scenario.seed or source.params != par:
+        raise ValueError("a block source serves only the seed and params it was built for")
+    else:
+        blocks = source.blocks()
     slot_cap = scenario.slot_cap
     v = spec.v if spec.kind == "fbdpp" else math.inf
     admit_cap = math.floor(min(v, par.a_max * slot_cap))
@@ -245,12 +315,8 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             if base >= slot_cap:
                 raise RuntimeError("stopped at the slot cap of %d slots after %d of %d frames"
                                    % (slot_cap, frames, horizon))
-            # column 1 is drawn and never read, so each seed keeps its stream
-            block = rng.random((_BLOCK, 5))
-            arrivals = arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist()
-            success = {p: (block[:, 2] < par.phi[p]).tobytes() for p in par.power_set.levels}
-            service = {p: (block[:, 3] < par.mu_su[p]).tobytes() for p in par.power_set.levels}
-            pu_arrival = (block[:, 4] < lam_pu).tobytes()
+            arrivals, success, service, pu_column = next(blocks)
+            pu_arrival = (pu_column < lam_pu).tobytes()
             srv, suc = service[p0], success[p1]
             lim = min(_BLOCK, slot_cap - base)
         if not q_pu:
@@ -311,7 +377,7 @@ def run_episode(scenario: Scenario) -> RunMetrics:
             break
         if frames == next_switch:
             lam_pu = next_lam
-            pu_arrival = (block[:, 4] < lam_pu).tobytes()
+            pu_arrival = (pu_column < lam_pu).tobytes()
             next_switch, next_lam = next(switches, (0, lam_pu))
         frame_start += f_len
         f_idle = f_adm = f_srv = f_qsum = 0

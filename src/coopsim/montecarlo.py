@@ -171,12 +171,16 @@ def sample_frames(
 
 
 def batch_mean_stderr(samples: np.ndarray, n_batches: int = 50) -> tuple[float, float]:
-    """Mean and a batch-means standard error, robust to within-batch noise."""
+    """Mean and a batch-means standard error, robust to within-batch noise.
+
+    Each batch is converted to float on its own, so no float copy of the
+    whole sample is made.
+    """
     if n_batches < 2:
         raise ValueError("a batch-means standard error needs at least 2 batches")
-    usable = (len(samples) // n_batches) * n_batches
-    if usable == 0:
+    size = len(samples) // n_batches
+    if size == 0:
         raise ValueError("too few samples for the requested batch count")
-    batches = np.asarray(samples[:usable], dtype=float).reshape(n_batches, -1)
-    means = batches.mean(axis=1)
+    means = np.array([np.asarray(samples[k * size : (k + 1) * size], dtype=float).mean()
+                      for k in range(n_batches)])
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(n_batches))

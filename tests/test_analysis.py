@@ -257,6 +257,32 @@ def test_batch_mean_stderr_needs_two_batches(n_batches):
         batch_mean_stderr(np.arange(100.0), n_batches)
 
 
+def _whole_copy_batch_mean_stderr(samples, n_batches):
+    """The batch-means error computed from one float copy of the whole sample."""
+    usable = (len(samples) // n_batches) * n_batches
+    means = np.asarray(samples[:usable], dtype=float).reshape(n_batches, -1).mean(axis=1)
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32])
+def test_batch_mean_stderr_is_bit_equal_to_one_whole_copy(dtype):
+    # a batch converted on its own sums the same floats in the same order
+    g = rng(41)
+    for n, n_batches in ((100, 2), (1_001, 7), (30_011, 50), (299_999, 119)):
+        samples = (g.geometric(0.1, n) if dtype is np.int64 else g.random(n) * 100).astype(dtype)
+        assert batch_mean_stderr(samples, n_batches) == _whole_copy_batch_mean_stderr(
+            samples, n_batches)
+    frames = sample_frames(0.5, 0.6, 200_000, rng(1))
+    assert batch_mean_stderr(frames) == _whole_copy_batch_mean_stderr(frames, 50)
+    tracemalloc.start()
+    try:
+        batch_mean_stderr(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20     # a whole float copy of the frames is 1.5 MiB
+
+
 def test_frame_sampler_memory_is_bounded():
     tracemalloc.start()
     try:

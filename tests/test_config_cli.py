@@ -361,6 +361,8 @@ MALFORMED = [
     (["sweep"], {"lambda_pu = 0.5": "lambda_pu = 0\nv_list = 10, 50"}, "no frame ends at rate 0"),
     (["adaptive"], {"seed = 42": "seed = 42\nlambda_schedule = 3:0"},
      "scheduled rates included: no frame ends at rate 0"),
+    (["run"], {"seed = 42": "seed = 42\nlambda_schedule = 3:nan"},
+     "scheduled rates included: no frame ends at rate nan"),
 ]
 
 

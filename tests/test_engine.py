@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coopsim import (
+    BlockSource,
     ModelParams,
     PolicySpec,
     PowerSet,
@@ -113,6 +115,12 @@ def test_schedule_validation():
     with pytest.raises(UnstableChainError, match="unstable"):
         Scenario(params=REF, policy=FBDPP, horizon_frames=10, seed=1,
                  lambda_schedule=((5, 0.7),))
+    # NaN is below no uniform, so no frame would end; it is neither >= phi(0) nor <= 0
+    for schedule in (((3, math.nan),), ((3, 0.3), (9, math.nan), (12, 0.4))):
+        with pytest.raises(ValueError, match="no frame ends at rate nan") as exc:
+            Scenario(params=REF, policy=FBDPP, horizon_frames=10, seed=1,
+                     lambda_schedule=schedule)
+        assert not isinstance(exc.value, UnstableChainError)
 
 
 def test_schedule_switches_at_boundaries():
@@ -472,6 +480,72 @@ def test_kernel_matches_one_slot_spec_busy_run_ends_a_block(monkeypatch, params,
     assert blocks[0] == ref["blocks"]
 
 
+def _outcome(scenario, source=None):
+    """``run_episode``'s metrics, or the text of the RuntimeError it raised."""
+    try:
+        return run_episode(scenario, source)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["steady", "switch", "cap"])
+@pytest.mark.parametrize("params", [REF, GRID], ids=["two_point", "grid"])
+def test_table_on_one_shared_source_equals_separate_episodes(monkeypatch, params, case):
+    # the rows read one source in turn, each from the first block, as cmd_baselines runs them
+    schedule = ((700, 0.3),) if case == "switch" else ()
+    if case == "cap":       # inside the second block: some rows stop there, some complete
+        monkeypatch.setattr(Scenario, "slot_cap", property(lambda self: 15_000))
+    rows = [Scenario(params=params, policy=spec, horizon_frames=2000, seed=5,
+                     lambda_schedule=schedule) for spec in KINDS]
+    blocks = _count_blocks(monkeypatch)
+    separate = []
+    for sc in rows:
+        blocks[0] = 0
+        separate.append((_outcome(sc), blocks[0]))
+    blocks[0] = 0
+    source = BlockSource(params, 5)
+    shared = [_outcome(sc, source) for sc in rows]
+    # each block is turned into outcomes once per table, not once per row
+    assert blocks[0] == max(n for _, n in separate) >= 2
+    for got, (want, _) in zip(shared, separate):
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for name in FRAME_FIELDS:
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.max_q_su == want.max_q_su
+        if case == "switch":    # the switch lands inside a block an earlier row prepared
+            assert want.frame_len[:700].sum() % 8192 != 0
+    stopped = [isinstance(want, str) for want, _ in separate]
+    assert any(stopped) == (case == "cap")
+    assert not all(stopped)
+
+
+def test_run_episode_refuses_a_source_for_another_seed_or_params(monkeypatch):
+    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=20, seed=3)
+    blocks = _count_blocks(monkeypatch)
+    for source in (BlockSource(REF, 4), BlockSource(GRID, 3),
+                   BlockSource(replace(REF, lambda_su=0.4), 3)):
+        with pytest.raises(ValueError, match="a block source serves only the seed and params"):
+            run_episode(sc, source)
+    assert blocks[0] == 0       # refused before a block is drawn
+    # equal params built apart are the same params
+    twin = BlockSource(ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5), 3)
+    _assert_same_metrics(run_episode(sc, twin), _reference_episode(sc))
+
+
+def test_baselines_draws_each_block_once_per_table(monkeypatch, capsys):
+    import coopsim.cli as cli
+
+    blocks = _count_blocks(monkeypatch)
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference.conf"
+    assert cli.main(["baselines", "--config", str(config), "--frames", "1500"]) == 0
+    slots = [int(line.split()[-1]) for line in capsys.readouterr().out.splitlines()[1:5]]
+    # the longest row draws every block the table reads; the others draw none
+    assert blocks[0] == -(-max(slots) // 8192) < sum(-(-n // 8192) for n in slots)
+
+
 def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
     import coopsim.engine as engine
 
@@ -523,3 +597,17 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
             # one decision per frame: none after the boundary that completes the horizon
             assert (calls[0], m.frames) == (50, 50)
         assert boundaries[0] == m.frames
+
+    # the per-kind episode spans read the policy kind off the scenario that
+    # cli.run_episode gets first: baselines makes one such call per row
+    scenarios = []
+
+    def recorded(*args, **kwargs):
+        scenarios.append(args[0])
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", recorded)
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference.conf"
+    assert cli.main(["baselines", "--config", str(config), "--frames", "20"]) == 0
+    assert all(isinstance(sc, Scenario) for sc in scenarios)
+    assert [sc.policy.kind for sc in scenarios] == ["no_coop", "always_coop", "counter", "fbdpp"]
