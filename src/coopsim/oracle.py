@@ -256,15 +256,21 @@ def simulate_stationary(
     since max(0 - s, 0) = 0 in an idle one, and its running minimum gives
     the backlog, hence idleness, of every slot. The secondary is served in
     idle slots only; only its final backlog is read, which takes the walk's
-    minimum, and ``served`` is its arrivals less that backlog.
+    minimum, and ``served`` is its arrivals less that backlog. A block whose
+    incoming backlog is at least its row count skips that scan: with at most
+    one departure a slot the queue cannot empty there, so it just adds
+    arrivals less departures.
 
     The uniforms come in blocks of ``_CHUNK_ROWS`` rows, drawn into one
     reused buffer (the same stream as one horizon-by-4 draw) and turned into
     columns once, so every pass reads contiguous memory. Every pass writes
     into buffers allocated once per call, and each queue carries its backlog
     and last arrival across blocks, so memory does not grow with the
-    horizon. Powered slots are charged p_max one at a time, in slot order,
-    so the float total equals a slot loop's bit for bit.
+    horizon. The power total equals a slot loop's float sum of p_max charges
+    bit for bit: it is an int count of charges times num / den while that
+    count times num stays below 2**53 (p_max = num / den in lowest terms),
+    where every partial sum is exact, and a float cumsum of the charges in
+    slot order from the first block past that bound (at once for 0.3).
     """
     if horizon_slots < 1:
         raise ValueError("horizon must be at least one slot")
@@ -283,6 +289,8 @@ def simulate_stationary(
     su_walk = np.empty(size, dtype=np.int64)
     charges = np.full(size + 1, P)
     charged = np.empty(size + 1)
+    num, den = P.as_integer_ratio()
+    units = 0                       # None once charges go to the float cumsum
     pu_backlog = su_backlog = arrived = idle_slots = 0
     power_total = 0.0
     for start in range(0, horizon_slots, size):
@@ -321,17 +329,31 @@ def simulate_stationary(
         powered = np.count_nonzero(coop) - np.count_nonzero(
             np.logical_and(idle, coop, out=both))
         np.logical_and(idle, tx, out=both)
-        powered += np.count_nonzero(both)
+        powered = int(powered + np.count_nonzero(both))
         su_served = np.less(u_success, mu, out=tx)
         np.logical_and(su_served, both, out=su_served)
         su_arrivals[1:n + 1] = arrival_counts(u_su, params.a_max, params.lambda_su)
-        arrived += int(su_arrivals[1:n + 1].sum())
-        su = np.subtract(su_arrivals[:n], su_served, out=su_walk[:n])
-        np.cumsum(su, out=su)
-        su_backlog = int(su[-1]) - min(int(su.min()), -su_backlog)
+        block_arrived = int(su_arrivals[1:n + 1].sum())
+        arrived += block_arrived
+        if su_backlog >= n:
+            # At most one departure a slot: the walk never falls below -n,
+            # so the minimum below is -su_backlog and the scan is moot.
+            su_backlog += (int(su_arrivals[0]) + block_arrived - int(su_arrivals[n])
+                           - int(np.count_nonzero(su_served)))
+        else:
+            su = np.subtract(su_arrivals[:n], su_served, out=su_walk[:n])
+            np.cumsum(su, out=su)
+            su_backlog = int(su[-1]) - min(int(su.min()), -su_backlog)
         su_arrivals[0] = su_arrivals[n]
-        charges[0] = power_total
-        power_total = float(np.cumsum(charges[:powered + 1], out=charged[:powered + 1])[-1])
+        if units is not None and (units + powered) * num < 2**53:
+            # each partial sum k * num / den, k * num < 2**53, is a float
+            # exactly, so the slot loop's adds are exact and total this
+            units += powered
+            power_total = units * num / den
+        else:
+            units = None
+            charges[0] = power_total
+            power_total = float(np.cumsum(charges[:powered + 1], out=charged[:powered + 1])[-1])
     served = arrived - (su_backlog + int(su_arrivals[0]))
     return StationarySimResult(
         throughput=served / horizon_slots,

@@ -245,17 +245,46 @@ def test_chain_matches_one_slot_spec(monkeypatch, chunk, n_models):
                 params, policy, horizon)
 
 
+# Each model hands over partway through one call of 64-row blocks. At REF
+# the oracle serves about 0.25 of the 0.5 secondary arrivals a slot, so the
+# backlog passes 64 and the secondary scan gives way to the skip. At
+# p_max = 1 + 2**-45, num = 2**45 + 1, so the whole-unit power count gives
+# way to the float cumsum once about 2**8 slots are powered.
+@pytest.mark.parametrize("p_max", [1.0, 1 + 2**-45], ids=["REF", "p_max=1+2**-45"])
+def test_chain_hand_offs_match_one_slot_spec(monkeypatch, p_max):
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 64)
+    params = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5, p_max=p_max)
+    policy = optimal_two_point(params)
+    T, seed = 1000, 5
+    spec = one_slot_spec(policy, params, set(range(1, T + 1)), seed)
+    for horizon in range(1, T + 1):
+        assert simulate_stationary(policy, params, horizon, seed) == spec[horizon], horizon
+    # the hand-off falls inside the run
+    if p_max == 1.0:
+        u_su = rng(seed).random((T, 4))[:, 0]
+        arrived = np.cumsum(arrival_counts(u_su, params.a_max, params.lambda_su))
+        backlog = [arrived[t - 1] - round(spec[t].throughput * t) for t in (64, T)]
+        assert backlog[0] < 64 < 2 * 64 < backlog[1], backlog
+    else:
+        num = p_max.as_integer_ratio()[0]
+        units = [round(spec[t].avg_power * t / p_max) * num for t in (64, T)]
+        assert units[0] < 2**53 < units[1], units
+
+
 # The near-critical primary carries backlogs above 64 slots across blocks,
-# which caps them in the int32 walk. The other model's secondary queue is
+# which caps them in the int32 walk. The second model's secondary queue is
 # near critical too (arrivals 0.5 against about 0.51 services per slot): it
-# empties often, yet holds a backlog at most block ends.
+# empties often, yet holds a backlog at most block ends. At REF the oracle's
+# secondary backlog grows by about 0.25 a slot, so the skip of its scan
+# starts at a different slot for each block size.
 @pytest.mark.parametrize("a_max", [1, 3])
 def test_chain_results_do_not_depend_on_block_size(monkeypatch, a_max):
-    policy = StationaryPolicy(coop_prob=0.5, idle_tx_prob=0.9, upsilon=0.0, pi_0=0.0,
+    mixing = StationaryPolicy(coop_prob=0.5, idle_tx_prob=0.9, upsilon=0.0, pi_0=0.0,
                               power_used=0.0)
-    for params in (
-        ModelParams.two_point(0.59, 0.6 * a_max, 0.6, 0.62, 0.5, a_max=a_max),
-        ModelParams.two_point(0.3, 0.5, 0.6, 0.8, 0.7, p_max=1.5, a_max=a_max),
+    for params, policy in (
+        (ModelParams.two_point(0.59, 0.6 * a_max, 0.6, 0.62, 0.5, a_max=a_max), mixing),
+        (ModelParams.two_point(0.3, 0.5, 0.6, 0.8, 0.7, p_max=1.5, a_max=a_max), mixing),
+        (replace(REF, a_max=a_max), optimal_two_point(REF)),
     ):
         results = []
         for chunk in (64, 1000, 1 << 14, 1 << 16):
