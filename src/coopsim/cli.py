@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also simulate the returned policy")
     p_oracle.add_argument("--validate-slots", type=int, default=400_000)
     p_oracle.add_argument("--grid-step", type=float, default=None,
-                          help="use the brute-force grid at this step")
+                          help="search the (q, p) grid at this step")
     p_oracle.add_argument("--force-q", type=float, default=None,
                           help="restrict the cooperation probability")
     command("analyze", cmd_analyze, "closed-form constants and bounds", "v", "v_list")

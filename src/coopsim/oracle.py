@@ -12,11 +12,12 @@ saturates q = 1 (slack budget), sits at q = 0 (idle transmission alone
 exhausts the budget), or balances the budget exactly between cooperation and
 transmission. ``optimal_two_point`` evaluates that closed form and
 double-checks it against a fine grid; ``optimal_at_q`` is the same closed
-form with q held fixed; ``grid_search`` is the independent brute-force
-oracle; ``simulate_stationary`` validates a policy by running the slotted
-chain. Under fixed mixing the chain's two queues are Lindley recursions
-(Lindley, 1952) whose service draws do not depend on the state, so the
-simulator runs them as numpy passes over fixed-size blocks of uniforms:
+form with q held fixed; ``grid_search`` finds the best point of the (q, p)
+grid, independently of the closed form, by searching each q row for its
+budget edge; ``simulate_stationary`` validates a policy by running the
+slotted chain. Under fixed mixing the chain's two queues are Lindley
+recursions (Lindley, 1952) whose service draws do not depend on the state,
+so the simulator runs them as numpy passes over fixed-size blocks of uniforms:
 bounded memory at any horizon, and the same uniform stream and the same
 results as a slot-by-slot loop.
 """
@@ -33,8 +34,6 @@ from .montecarlo import arrival_counts
 # rows of uniforms drawn at a time by simulate_stationary: 0.5 MiB per block
 # and under 2 MiB of buffers in all, so each pass over a block runs in cache
 _CHUNK_ROWS = 1 << 14
-# q rows scanned at a time by grid_search; 0.5 MiB per array at step 1e-3
-_GRID_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -186,26 +185,28 @@ def optimal_at_q(params: ModelParams, q: float) -> StationaryPolicy:
 def grid_search(
     params: ModelParams, step: float, q_fixed: float | None = None
 ) -> StationaryPolicy:
-    """Exhaustive scan of the (q, p) grid; brute-force check of the oracle.
+    """Best point of the (q, p) grid; a check of the closed form.
 
     Mixing is always over {0, p_max}; on a finer power grid this restricted
     support makes the result a documented approximation rather than the true
     optimum. Returns the best feasible grid point; on ties the scan order (q
     ascending, then p ascending) keeps the least-cooperative, least-active
-    point. ``q_fixed`` restricts the scan to one cooperation level. Raises
+    point. ``q_fixed`` restricts the search to one cooperation level. Raises
     ValueError when ``q_fixed`` is outside [0, 1] or no grid point meets the
     budget.
 
-    The grid is scanned ``_GRID_ROWS`` q rows at a time into buffers
-    allocated once per call, so memory does not grow with 1/step^2. Within a
-    block ``argmax`` keeps the first maximum in scan order, and a later block
-    replaces the best point only when strictly better, which is the same tie
-    rule over the whole grid.
+    The result is that of scoring every point, found one q row at a time.
+    Along a row neither the spend coop + pi_0 p p_max nor the rate
+    min(lambda_su, m pi_0 p) falls as p grows (pi_0 >= 0, and rounding is
+    monotone), so the points within budget are a prefix of the row and its
+    last point is the row's peak. A bisection across all rows at once finds
+    each prefix in log2(1/step) passes; the first row with the highest peak
+    holds the scan's first maximum, and ``argmax`` over that row's prefix
+    finds it. Memory grows as 1/step.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     P = params.p_max
-    m = params.mu_su[P]
     if q_fixed is None:
         q = np.arange(0.0, 1.0 + step / 2, step)
         q[-1] = min(q[-1], 1.0)
@@ -215,28 +216,24 @@ def grid_search(
     p = np.arange(0.0, 1.0 + step / 2, step)
     p[-1] = min(p[-1], 1.0)
     pi_0, coop = _occupancy(params, q)
-    m_pi_0 = m * pi_0
-    shape = (min(_GRID_ROWS, len(q)), len(p))
-    power_buf, ups_buf, over_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    best, best_q, best_p = -np.inf, 0.0, 0.0
-    for lo in range(0, len(q), _GRID_ROWS):
-        rows = slice(lo, lo + _GRID_ROWS)
-        k = len(q[rows])
-        power, ups, over = power_buf[:k], ups_buf[:k], over_buf[:k]
-        # coop + pi_0 * p * P and min(lambda_su, m * pi_0 * p), product by product
-        np.multiply(pi_0[rows, None], p, out=power)
-        np.multiply(power, P, out=power)
-        np.add(coop[rows, None], power, out=power)
-        np.logical_not(np.less_equal(power, params.p_avg + 1e-12, out=over), out=over)
-        np.multiply(m_pi_0[rows, None], p, out=ups)
-        np.minimum(params.lambda_su, ups, out=ups)
-        np.copyto(ups, -np.inf, where=over)
-        i, j = np.unravel_index(int(np.argmax(ups)), ups.shape)
-        if ups[i, j] > best:
-            best, best_q, best_p = ups[i, j], q[lo + i], p[j]
-    if best == -np.inf:
+    m_pi_0 = params.mu_su[P] * pi_0
+    # points within budget per row, set bit by bit from the highest; the
+    # spend is coop + pi_0 * p * P, product by product, as a full scan has it.
+    # Counts past the row read its last point, which keeps the test monotone,
+    # so a row within budget to its end counts len(p) once clipped.
+    fit = np.zeros(len(q), dtype=np.intp)
+    bit = 1 << (len(p).bit_length() - 1)
+    while bit:
+        last = p.take(fit + (bit - 1), mode="clip")
+        fit += bit * (coop + pi_0 * last * P <= params.p_avg + 1e-12)
+        bit >>= 1
+    np.minimum(fit, len(p), out=fit)
+    peak = np.where(fit > 0, np.minimum(params.lambda_su, m_pi_0 * p[fit - 1]), -np.inf)
+    i = int(np.argmax(peak))
+    if peak[i] == -np.inf:
         raise ValueError(f"no grid point meets p_avg={params.p_avg:g}")
-    return _policy_at(params, float(best_q), float(best_p))
+    j = int(np.argmax(np.minimum(params.lambda_su, m_pi_0[i] * p[:fit[i]])))
+    return _policy_at(params, float(q[i]), float(p[j]))
 
 
 def simulate_stationary(

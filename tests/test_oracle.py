@@ -74,8 +74,10 @@ def test_arrival_cap_binds_with_cheapest_policy():
 
 def test_grid_agrees_at_reference():
     pol = optimal_two_point(REF)
-    grid = grid_search(REF, step=1e-3)
-    assert abs(pol.upsilon - grid.upsilon) <= 1e-3
+    # within one step of the closed form and never above it
+    for step in (1e-3, 1e-4):
+        grid = grid_search(REF, step)
+        assert pol.upsilon - step <= grid.upsilon <= pol.upsilon
 
 
 def test_grid_no_cooperation_row():
@@ -307,8 +309,9 @@ def test_chain_memory_does_not_grow_with_horizon():
 def full_matrix_grid_search(params, step, q_fixed=None):
     """(policy, scores) of the (q, p) grid scored as one whole matrix.
 
-    The reference for ``grid_search``'s block scan: ``np.argmax`` over the
-    whole matrix picks the first best point, q ascending, then p ascending.
+    The literal brute force that ``grid_search``'s per-row search must equal:
+    ``np.argmax`` over the whole matrix picks the first best point, q
+    ascending, then p ascending.
     """
     q = np.arange(0.0, 1.0 + step / 2, step) if q_fixed is None else np.array([q_fixed])
     q[-1] = min(q[-1], 1.0)
@@ -337,11 +340,8 @@ def assert_grid_matches_full_matrix(params, step, q_fixed=None):
     return ups
 
 
-# Three-row blocks put block boundaries inside even the 0.1 grid.
-@pytest.mark.parametrize("rows", [3, oracle._GRID_ROWS])
 @pytest.mark.parametrize("step, n_models", [(0.1, 60), (0.01, 60), (1e-3, 8)])
-def test_grid_block_scan_matches_full_matrix(monkeypatch, rows, step, n_models):
-    monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
+def test_grid_search_matches_full_matrix(step, n_models):
     g = rng(31)
     for _ in range(n_models):
         params = random_two_point(g)
@@ -350,15 +350,15 @@ def test_grid_block_scan_matches_full_matrix(monkeypatch, rows, step, n_models):
             assert_grid_matches_full_matrix(params, step, q_fixed)
 
 
-@pytest.mark.parametrize("rows, step", [(3, 0.01), (oracle._GRID_ROWS, 1e-3)])
-def test_grid_ties_and_infeasible_rows(monkeypatch, rows, step):
-    monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
-    # A low arrival rate caps the rate at lambda_su on q rows of several
-    # blocks, first reached at q = 0 for 0.05 and at q > 0 for 0.2.
+@pytest.mark.parametrize("step, tied_at_5, tied_at_20", [(0.01, 66, 28), (1e-3, 659, 283)])
+def test_grid_ties_and_infeasible_rows(step, tied_at_5, tied_at_20):
+    # A low arrival rate caps the rate at lambda_su on many q rows, first
+    # reached at q = 0 for 0.05 and at q > 0 for 0.2.
+    n_tied = {0.05: tied_at_5, 0.2: tied_at_20}
     for lambda_su in (0.05, 0.2):
         ups = assert_grid_matches_full_matrix(replace(REF, lambda_su=lambda_su), step)
         tied_rows = np.flatnonzero((ups == lambda_su).any(axis=1))
-        assert len(tied_rows) > 2 * rows
+        assert len(tied_rows) == n_tied[lambda_su]
         assert (tied_rows[0] == 0) == (lambda_su == 0.05)
     # Cooperation at q = 1 alone spends 0.625 > p_avg = 0.5.
     assert full_matrix_grid_search(REF, step, q_fixed=1.0)[0] is None
@@ -366,10 +366,44 @@ def test_grid_ties_and_infeasible_rows(monkeypatch, rows, step):
         grid_search(REF, step, q_fixed=1.0)
 
 
+# 0.06 pushes the last p past 1, where it is clamped; 0.03 and 0.07 stop short of 1.
+@pytest.mark.parametrize("step", [0.1, 0.07, 0.06, 0.03, 0.01, 1e-3])
+def test_grid_search_matches_full_matrix_at_reference(step):
+    ups = assert_grid_matches_full_matrix(REF, step)
+    # rows near q = 1 overspend even at p = 0, beside rows that fit the budget
+    fits_at_zero = ups[:, 0] > -np.inf
+    assert fits_at_zero[0] and not fits_at_zero[-1]
+    for q_fixed in (0.0, 0.4, 1.0):
+        assert_grid_matches_full_matrix(REF, step, q_fixed)
+
+
+# Points where the spend's float products, taken in another order, round to
+# another value (p_max = 0.7 is not a power of two).
+@pytest.mark.parametrize("step, i, j", [(0.01, 30, 60), (1e-3, 250, 290), (0.07, 0, 12)])
+def test_grid_budget_edge_within_an_ulp(step, i, j):
+    # p_avg is set so that p_avg + 1e-12 lands within an ulp of the spend at
+    # grid point (q_i, p_j), on either side: the budget edge is that point.
+    model = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.35, p_max=0.7)
+    q = np.arange(0.0, 1.0 + step / 2, step)
+    p = np.arange(0.0, 1.0 + step / 2, step)
+    pi_0, coop = oracle._occupancy(model, q[i:i + 1])
+    spend = float((coop + pi_0 * p[j] * model.p_max)[0])
+    base = spend - 1e-12
+    sides = set()
+    for p_avg in (np.nextafter(base, 0.0), base, np.nextafter(base, 1.0)):
+        params = replace(model, p_avg=float(p_avg))
+        fits = spend <= params.p_avg + 1e-12
+        sides.add(fits)
+        assert_grid_matches_full_matrix(params, step)
+        assert_grid_matches_full_matrix(params, step, q[i])
+        assert grid_search(params, step, q[i]).idle_tx_prob == p[j if fits else j - 1]
+    assert sides == {True, False}
+
+
 def test_grid_memory_does_not_grow_with_resolution():
     tracemalloc.start()
     try:
-        grid_search(REF, 1e-3)
+        grid_search(REF, 1e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
