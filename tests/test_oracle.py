@@ -340,13 +340,16 @@ def assert_grid_matches_full_matrix(params, step, q_fixed=None):
     return ups
 
 
+# The whole grid's q rows are searched as one block; each model is also
+# searched one row at a time, at q = 0, q = 1 and ``rows`` random q values.
+@pytest.mark.parametrize("rows", [3, 64])
 @pytest.mark.parametrize("step, n_models", [(0.1, 60), (0.01, 60), (1e-3, 8)])
-def test_grid_search_matches_full_matrix(step, n_models):
+def test_grid_block_scan_matches_full_matrix(rows, step, n_models):
     g = rng(31)
     for _ in range(n_models):
         params = random_two_point(g)
         assert_grid_matches_full_matrix(params, step)
-        for q_fixed in (0.0, float(g.uniform()), 1.0):
+        for q_fixed in (0.0, *g.uniform(size=rows).tolist(), 1.0):
             assert_grid_matches_full_matrix(params, step, q_fixed)
 
 
