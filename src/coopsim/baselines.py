@@ -6,12 +6,14 @@ by elapsed slots stays below the budget. They differ only in the spend they
 feed the gate. The always-cooperate policy additionally reserves the budget
 for cooperation: its idle-slot gate charges every busy slot seen so far at
 peak power, whether or not the gate was open then, so its own traffic only
-uses power that cooperation could never claim. Their one hook,
-``choose_power(idle)``, runs once per slot and writes ``budget_gate`` inline,
-so a slot costs one call; a test holds every hook to ``budget_gate``. Their
-counters are floats holding exact counts, so each gate is float with float.
-None of them draws randomness; the best stationary randomized policy lives
-in ``oracle``.
+uses power that cooperation could never claim. ``engine.run_episode``
+evaluates the three gates itself, against its own slot index, and reads from
+each class only the two constants ``idle_reserve`` and ``busy_spends``; it
+calls no hook. Each class's ``choose_power(idle)`` is the per-slot statement
+of its gate: the tests hold the engine to the hooks, and the hooks to
+``budget_gate``. Their counters are floats holding exact counts, so each gate
+is float with float. None of them draws randomness; the best stationary
+randomized policy lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
     """Peak power while ``spend`` per elapsed slot is under the budget, else 0.
 
     The one statement of the gate. The hooks inline it with ``slots or 1.0``,
-    which is ``max(slots, 1)`` as a float for any slot count of 0 or more.
+    which is ``max(slots, 1)`` as a float for any slot count of 0 or more, and
+    the engine's kernel with its int slot index ``or 1``: a float divided by an
+    int below 2**53 is the same float division.
     """
     return p_max if spend / max(slots, 1) < p_avg else 0.0
 
@@ -31,12 +35,18 @@ def budget_gate(spend: float, slots: int, p_avg: float, p_max: float) -> float:
 class _OpenLoopPolicy:
     """Frame-blind state shared by the comparison policies.
 
-    ``choose_power`` is the one hook, and every call is one slot: the power
-    it returns is added to ``spend`` and the call to ``slots``, the running
-    counters the budget gate reads, both floats (a count is exact below 2**53,
-    so each gate gives the float an int count would). ``p_avg`` and ``p_max``
-    are copied from the model once, since every slot reads them.
+    ``choose_power`` states one slot: the power it returns is added to
+    ``spend`` and the call to ``slots``, the running counters the budget gate
+    reads, both floats (a count is exact below 2**53, so each gate gives the
+    float an int count would). ``p_avg`` and ``p_max`` are copied from the
+    model once. ``idle_reserve`` says the idle gate reads
+    ``busy_slots_seen * p_max + idle_power_spent`` in place of ``spend``, and
+    ``busy_spends`` that a busy slot may spend at all; the engine's kernel
+    reads both in place of calling the hook.
     """
+
+    idle_reserve = False
+    busy_spends = True
 
     def __init__(self, params: ModelParams):
         self.p_avg = params.p_avg
@@ -48,6 +58,8 @@ class _OpenLoopPolicy:
 class NoCoopPolicy(_OpenLoopPolicy):
     """Idle-only transmission at peak power, budget-gated."""
 
+    busy_spends = False
+
     def choose_power(self, idle: bool) -> float:
         power = self.p_max if idle and self.spend / (self.slots or 1.0) < self.p_avg else 0.0
         self.spend += power
@@ -57,6 +69,8 @@ class NoCoopPolicy(_OpenLoopPolicy):
 
 class AlwaysCoopPolicy(_OpenLoopPolicy):
     """Cooperation-first budget use; own traffic only on reserve slack."""
+
+    idle_reserve = True
 
     def __init__(self, params: ModelParams):
         super().__init__(params)

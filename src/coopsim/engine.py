@@ -7,18 +7,23 @@ queue empties, which closes the frame. Both also stop at the uniform block's
 last row or at the slot cap, whichever comes first. An episode that reaches
 the cap before its horizon is an error, so a returned episode is complete.
 fbdpp's one hook, ``begin_frame(q_su, x_su)``, runs once per frame, at its
-first slot, and returns the frame's ``(p0, p1)`` power pair. The open-loop
-kinds (``no_coop``, ``always_coop``, ``counter``) gate on the running spend,
-so their ``choose_power(idle)`` runs once per slot; the power it returns is
-spent whether or not the secondary queue has a packet. No policy draws
-randomness.
+first slot, and returns the frame's ``(p0, p1)`` power pair; fbdpp is the one
+kind an episode builds a policy for. The open-loop kinds (``no_coop``,
+``always_coop``, ``counter``) gate every slot on the running spend, and the
+kernel evaluates their budget gates itself, against its own slot index,
+charging spend only when a gate opens. From ``baselines`` it reads only which
+spend each kind's idle gate compares and whether its busy slots may spend;
+their ``choose_power(idle)`` hooks are the per-slot statement of the gates
+that the tests hold the kernel to. A slot's power is spent whether or not the
+secondary queue has a packet. No policy draws randomness.
 The engine does admission and both queue steps inline, and only a slot with
 a secondary arrival runs the admission and backlog-bound code: fbdpp admits
 while the backlog is at most v, held as the int ``floor(v)``, the others
 under ``a_max * slot_cap``, which no backlog reaches. ``step_pu_queue``,
-``step_su_queue`` and ``admit`` state the same slot helper by helper; the
-tests hold the engine to them. One seeded generator draws five uniforms per
-slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
+``step_su_queue`` and ``admit`` state the same slot helper by helper, as the
+hooks state the gates; the tests hold the engine to them. One seeded
+generator draws five uniforms per slot, 8192 slots at a time, so a rerun
+reproduces every number bit for bit.
 ``_prepare`` turns each block once into a list of arrival counts and one
 byte string per 0/1 outcome (primary success and secondary service per power
 level), whose items index as the ints 0 and 1, and keeps column 4, which an
@@ -123,14 +128,13 @@ class Scenario:
         return self.horizon_frames * 10_000 + 1_000_000
 
 
+_OPEN_LOOP = {"no_coop": NoCoopPolicy, "always_coop": AlwaysCoopPolicy, "counter": CounterPolicy}
+
+
 def build_policy(spec: PolicySpec, params: ModelParams):
     if spec.kind == "fbdpp":
         return FrameDriftPenaltyPolicy(params)
-    if spec.kind == "no_coop":
-        return NoCoopPolicy(params)
-    if spec.kind == "always_coop":
-        return AlwaysCoopPolicy(params)
-    return CounterPolicy(params)
+    return _OPEN_LOOP[spec.kind](params)
 
 
 @dataclass
@@ -277,11 +281,15 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     par = scenario.params
     spec = scenario.policy
     lam_pu = par.lambda_pu
-    policy = build_policy(spec, par)
-    # each hook is bound per episode, so one patched on its class still runs
-    choose = None if spec.kind == "fbdpp" else policy.choose_power
-    begin_frame = policy.begin_frame if choose is None else None
-    p_avg, horizon = par.p_avg, scenario.horizon_frames
+    p_avg, p_max, horizon = par.p_avg, par.p_max, scenario.horizon_frames
+    # the open-loop kinds' budget gates run here, as the baselines' hooks state
+    # them; the three flags are bools, so fbdpp's per-slot test is a truth test
+    gates = _OPEN_LOOP.get(spec.kind)
+    gated = gates is not None
+    reserving = gated and gates.idle_reserve
+    busy_gate = gated and gates.busy_spends
+    # bound per episode, so a hook patched on its class still runs
+    begin_frame = None if gated else build_policy(spec, par).begin_frame
     if source is None:
         blocks = _draw_blocks(par, scenario.seed)
     elif source.seed != scenario.seed or source.params != par:
@@ -302,11 +310,14 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     q_pu = q_su = frame_start = max_q = frames = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
     x_su = f_pi = f_pc = 0.0
+    # the gates' running spends; always_coop's idle gate adds busy_seen * p_max
+    spend = idle_spent = reserve = 0.0
+    busy_seen = 0
     # slot = base + bi; a block's rows stop at lim, which the slot cap may cut short
     base = bi = lim = 0
 
     p0 = p1 = 0.0
-    if choose is None:
+    if begin_frame is not None:
         p0, p1 = begin_frame(q_su, x_su)
     while True:
         if bi == lim:
@@ -318,13 +329,20 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             arrivals, success, service, pu_column = next(blocks)
             pu_arrival = (pu_column < lam_pu).tobytes()
             srv, suc = service[p0], success[p1]
+            srv_0, srv_max = service[0.0], service[p_max]
+            suc_0, suc_max = success[0.0], success[p_max]
             lim = min(_BLOCK, slot_cap - base)
         if not q_pu:
             # idle run: ends with the slot of the frame's first primary arrival
             while bi < lim:
-                if choose is not None:
-                    p0 = choose(True)
-                    srv = service[p0]
+                if gated:
+                    # the slot index counts the slots before this one
+                    if (reserve + idle_spent if reserving else spend) / (base + bi or 1) < p_avg:
+                        p0, srv = p_max, srv_max
+                        spend += p_max
+                        idle_spent += p_max
+                    else:
+                        p0, srv = 0.0, srv_0
                 f_pi += p0
                 f_qsum += q_su
                 # admission and service both read the backlog at the start of the slot
@@ -349,9 +367,12 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             continue
         # busy run: no secondary service, and it ends when the primary queue empties
         while q_pu and bi < lim:
-            if choose is not None:
-                p1 = choose(False)
-                suc = success[p1]
+            if busy_gate:
+                if spend / (base + bi or 1) < p_avg:
+                    p1, suc = p_max, suc_max
+                    spend += p_max
+                else:
+                    p1, suc = 0.0, suc_0
             f_pc += p1
             f_qsum += q_su
             q_pu += pu_arrival[bi] - suc[bi]    # busy: no clamp at zero needed
@@ -380,11 +401,14 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             pu_arrival = (pu_column < lam_pu).tobytes()
             next_switch, next_lam = next(switches, (0, lam_pu))
         frame_start += f_len
-        f_idle = f_adm = f_srv = f_qsum = 0
-        f_pi = f_pc = 0.0
-        if choose is None:
+        if begin_frame is None:
+            busy_seen += f_len - f_idle
+            reserve = busy_seen * p_max
+        else:
             p0, p1 = begin_frame(q_su, x_su)
             srv, suc = service[p0], success[p1]
+        f_idle = f_adm = f_srv = f_qsum = 0
+        f_pi = f_pc = 0.0
 
     columns = list(zip(*frame_rows))    # all at once: a lazy zip peaks 0.4 MiB higher
     arrays = {

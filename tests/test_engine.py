@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from coopsim import (
+    AlwaysCoopPolicy,
     BlockSource,
+    CounterPolicy,
     ModelParams,
+    NoCoopPolicy,
     PolicySpec,
     PowerSet,
     Scenario,
@@ -192,43 +195,38 @@ def test_sweep_seeds_and_ordering():
     PolicySpec(kind="counter"),
 ])
 def test_one_policy_call_per_slot(monkeypatch, spec):
-    # each kind has one hook: an open-loop policy's choose_power runs once
-    # per slot, and what it returns is what the slot spends; fbdpp's
-    # begin_frame runs once per frame, and every slot of the frame spends the
-    # pair it returns
+    # fbdpp's one hook, begin_frame, runs once per frame, and every slot of the
+    # frame spends the pair it returns; the open-loop kinds' budget gates run
+    # in the kernel, so their episodes build no policy and call no hook
     import coopsim.engine as engine
 
     build_policy = engine.build_policy
-    built = []
+    built, pairs, hook_calls = [], [], [0]
 
-    def counting_policy(spec, params):
+    def recording_policy(spec, params):
         policy = build_policy(spec, params)
-        calls, pairs = [0], []
-        if spec.kind == "fbdpp":
-            assert not hasattr(policy, "choose_power")
-            begin = policy.begin_frame
+        begin = policy.begin_frame
 
-            def recorded(q_su, x_su):
-                pairs.append(begin(q_su, x_su))
-                return pairs[-1]
+        def recorded(q_su, x_su):
+            pairs.append(begin(q_su, x_su))
+            return pairs[-1]
 
-            policy.begin_frame = recorded
-        else:
-            assert not hasattr(policy, "begin_frame")
-            choose = policy.choose_power
-
-            def counted(idle):
-                calls[0] += 1
-                return choose(idle)
-
-            policy.choose_power = counted
-        built.append((policy, calls, pairs))
+        policy.begin_frame = recorded
+        built.append(policy)
         return policy
 
-    monkeypatch.setattr(engine, "build_policy", counting_policy)
+    for cls in (NoCoopPolicy, AlwaysCoopPolicy, CounterPolicy):
+        def counted(self, idle, _choose=cls.choose_power):
+            hook_calls[0] += 1
+            return _choose(self, idle)
+
+        monkeypatch.setattr(cls, "choose_power", counted)
+    monkeypatch.setattr(engine, "build_policy", recording_policy)
     m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=300, seed=9))
-    [(policy, calls, pairs)] = built
+    assert hook_calls[0] == 0
     if spec.kind == "fbdpp":
+        [policy] = built
+        assert not hasattr(policy, "choose_power")
         assert len(pairs) == m.frames == 300
         assert len(set(pairs)) > 1          # the powers do change between frames
         busy_len = m.frame_len - m.idle_len
@@ -236,9 +234,7 @@ def test_one_policy_call_per_slot(monkeypatch, spec):
             assert m.power_idle[k] == m.idle_len[k] * p0
             assert m.power_coop[k] == busy_len[k] * p1
     else:
-        assert calls[0] == m.slots
-        assert policy.slots == m.slots
-        assert policy.spend == float(m.power_idle.sum() + m.power_coop.sum())
+        assert built == []
 
 
 FRAME_FIELDS = ("frame_len", "admitted", "served", "power_idle", "power_coop", "q_su_end",
@@ -355,6 +351,50 @@ def test_kernel_matches_one_slot_spec(params, spec):
     for frame_index, _ in schedule:
         assert ref["frame_len"][:frame_index].sum() % 8192 != 0
     _assert_same_metrics(run_episode(sc), ref)
+
+
+# p_max = 0.7 makes every spend sum round, and p_avg = 1/3 lets a gate meet
+# spend / slots == p_avg exactly; at lambda_pu = 0.2 and 0.3 no_coop's idle
+# spend exceeds the budget, so every open-loop gate binds
+ROUNDING = ModelParams.two_point(0.2, 0.5, 0.6, 0.8, 1 / 3, p_max=0.7)
+
+
+def _count_gate_ties(monkeypatch):
+    """Counts of the spec's gates read at spend / slots == p_avg exactly, by ``idle``."""
+    ties = {True: 0, False: 0}
+    for cls in (NoCoopPolicy, AlwaysCoopPolicy, CounterPolicy):
+        def counted(self, idle, _choose=cls.choose_power):
+            spend = self.spend
+            if idle and self.idle_reserve:
+                spend = self.busy_slots_seen * self.p_max + self.idle_power_spent
+            if (idle or self.busy_spends) and spend / (self.slots or 1.0) == self.p_avg:
+                ties[idle] += 1
+            return _choose(self, idle)
+
+        monkeypatch.setattr(cls, "choose_power", counted)
+    return ties
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+def test_kernel_matches_one_slot_spec_at_a_rounding_p_max(monkeypatch, spec):
+    # the kernel's gates against the hooks where the reserve's terms, the
+    # strict comparison, the slot count and when spend is charged all show
+    ties = _count_gate_ties(monkeypatch)
+    schedule = ((700, 0.3), (1500, ROUNDING.lambda_pu))
+    for seed in (3, 7):
+        sc = Scenario(params=ROUNDING, policy=spec, horizon_frames=2000, seed=seed,
+                      lambda_schedule=schedule)
+        ref = _reference_episode(sc)
+        assert ref["frame_len"].sum() > 8192             # crosses a block boundary
+        for frame_index, _ in schedule:
+            assert ref["frame_len"][:frame_index].sum() % 8192 != 0
+        _assert_same_metrics(run_episode(sc), ref)
+    # every open-loop kind meets a tie in an idle slot, and counter at seed 7
+    # in a busy one, the one busy-slot tie of these runs
+    if spec.kind != "fbdpp":
+        assert ties[True] >= 1
+    if spec.kind == "counter":
+        assert ties[False] >= 1
 
 
 @pytest.mark.parametrize("switch", [False, True], ids=["steady", "switch"])
@@ -563,7 +603,7 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
 
     import coopsim.cli as cli
     import coopsim.engine as engine
-    from coopsim import AlwaysCoopPolicy, CounterPolicy, FrameDriftPenaltyPolicy, NoCoopPolicy
+    from coopsim import FrameDriftPenaltyPolicy
 
     hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP)] + [
         (cls, "choose_power", PolicySpec(kind=kind))
@@ -592,7 +632,9 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
         boundaries[0] = 0
         m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4))
         if spec.kind != "fbdpp":
-            assert calls[0] == m.slots, cls.__name__
+            # the kernel runs the open-loop gates itself: the hooks stay on
+            # their classes as the per-slot spec, and the tracer counts 0 calls
+            assert calls[0] == 0, cls.__name__
         else:
             # one decision per frame: none after the boundary that completes the horizon
             assert (calls[0], m.frames) == (50, 50)
