@@ -6,8 +6,10 @@ entry in ``_KEYS``: an unknown key or a malformed value is a ``ConfigError``
 at that moment, whether or not the command goes on to use the key. Ranges
 are checked when the model objects are built, so a bad config is refused
 before any episode starts or any file is written. Maps (``phi``, ``mu_su``)
-are written as ``power:prob`` pairs separated by commas; the two-point
-shorthand ``phi_nc``/``phi_c`` covers the common case.
+are written as ``power:prob`` pairs separated by commas, each power named
+once and each in the power set. The shorthands ``phi_nc``/``phi_c`` (two-point
+sets) and ``mu_su_max`` (``mu_su`` at ``p_max``, 0 below it) cover the common
+case; a map and its shorthand are never both given.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def _pairs(text: str, first, second, form: str) -> list:
 
 
 def _prob_map(text: str) -> dict[float, float]:
-    out = dict(_pairs(text, float, float, "power:prob"))
+    out: dict[float, float] = {}
+    for power, prob in _pairs(text, float, float, "power:prob"):
+        if power in out:
+            raise ValueError(f"power {power:g} is named twice")
+        out[power] = prob
     if not out:
         raise ValueError("empty map")
     return out
@@ -199,6 +205,14 @@ class RunConfig:
         if mu_su is None:
             mu_su = {level: 0.0 for level in power_set.levels}
             mu_su[p_max] = self.get("mu_su_max", 1.0)
+        elif "mu_su_max" in self.values:
+            raise ConfigError("give either mu_su or mu_su_max, not both")
+        for name, table in (("phi", phi), ("mu_su", mu_su)):
+            outside = [p for p in table if p not in power_set.levels]
+            if outside:
+                raise ConfigError(f"{name} names power {outside[0]:g}, outside the power set "
+                                  f"{', '.join(f'{p:g}' for p in power_set.levels)} "
+                                  "(power_levels sets it)")
 
         try:
             return ModelParams(

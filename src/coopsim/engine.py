@@ -19,15 +19,23 @@ secondary queue has a packet. No policy draws randomness.
 The engine does admission and both queue steps inline, and only a slot with
 a secondary arrival runs the admission and backlog-bound code: fbdpp admits
 while the backlog is at most v, held as the int ``floor(v)``, the others
-under ``a_max * slot_cap``, which no backlog reaches. ``step_pu_queue``,
-``step_su_queue`` and ``admit`` state the same slot helper by helper, as the
-hooks state the gates; the tests hold the engine to them. One seeded
-generator draws five uniforms per slot, 8192 slots at a time, so a rerun
-reproduces every number bit for bit.
-``_prepare`` turns each block once into a list of arrival counts and one
-byte string per 0/1 outcome (primary success and secondary service per power
-level), whose items index as the ints 0 and 1, and keeps column 4, which an
-episode compares with its primary rate. An episode reads its blocks from a
+under ``a_max * slot_cap``, which no backlog reaches. A busy slot steps the
+primary queue by one walk byte, ``arrival + 1 - success`` at the slot's
+power, less 1. A busy slot never serves the secondary, so once fbdpp's
+backlog is above its cap nothing but the primary can move until the next
+idle slot: the busy run, or the block, finishes in a loop that only spends
+``p1`` and steps the primary, and the backlog's sum over those slots is
+added as one product. ``step_pu_queue``, ``step_su_queue`` and ``admit``
+state the same slot helper by helper, as the hooks state the gates; the
+tests hold the engine to them. One seeded generator draws five uniforms per
+slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
+``_prepare`` turns each block once into a list of arrival counts, one byte
+string of secondary service and one bool array of primary success per
+power level, and column 4, which an episode compares with its primary rate.
+For each block, and again at each rate switch, ``_walk`` joins that
+comparison with the success arrays into the primary's arrival bytes and one
+walk byte string per power level; success is read for nothing else. Byte
+strings index as ints. An episode reads its blocks from a
 block source. By default it draws a private one that keeps no block it has
 passed, so a long episode holds one block at a time. ``BlockSource`` keeps
 every prepared block it hands out, about 160 KiB per block on a two-point
@@ -215,19 +223,31 @@ class RunMetrics:
 def _prepare(block: np.ndarray, par: ModelParams) -> tuple:
     """A uniform block as the kernel reads it, and nothing else of it.
 
-    Returns the arrival counts as a list, ``{p: bytes}`` of primary success
-    and of secondary service per power level, and column 4 as its own array,
-    which the primary's rate, switched by a schedule inside a block or not,
-    is compared with. Column 1 is drawn and never read, so each seed keeps
-    its stream.
+    Returns the arrival counts as a list, ``{p: bool array}`` of primary
+    success and ``{p: bytes}`` of secondary service per power level, and
+    column 4 as its own array, which the primary's rate, switched by a
+    schedule inside a block or not, is compared with. Success is read only
+    by ``_walk``, which joins it with the primary's arrivals once a rate is
+    known. Column 1 is drawn and never read, so each seed keeps its stream.
     """
     levels = par.power_set.levels
     return (
         arrival_counts(block[:, 0], par.a_max, par.lambda_su).tolist(),
-        {p: (block[:, 2] < par.phi[p]).tobytes() for p in levels},
+        {p: block[:, 2] < par.phi[p] for p in levels},
         {p: (block[:, 3] < par.mu_su[p]).tobytes() for p in levels},
         block[:, 4].copy(),
     )
+
+
+def _walk(pu_column: np.ndarray, lam_pu: float, success: dict) -> tuple:
+    """The primary's arrival bytes at rate ``lam_pu``, and its busy-slot walk bytes.
+
+    ``walk[p]`` is ``arrival + 1 - success[p]``, 0, 1 or 2, so a busy slot at
+    power ``p`` steps the primary queue by ``walk[p][bi] - 1``.
+    """
+    arriving = pu_column < lam_pu
+    lifted = arriving.view(np.uint8) + 1
+    return arriving.tobytes(), {p: (lifted - ok).tobytes() for p, ok in success.items()}
 
 
 def _draw_blocks(par: ModelParams, seed: int):
@@ -327,10 +347,10 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
                 raise RuntimeError("stopped at the slot cap of %d slots after %d of %d frames"
                                    % (slot_cap, frames, horizon))
             arrivals, success, service, pu_column = next(blocks)
-            pu_arrival = (pu_column < lam_pu).tobytes()
-            srv, suc = service[p0], success[p1]
+            pu_arrival, walk = _walk(pu_column, lam_pu, success)
+            srv, wk = service[p0], walk[p1]
             srv_0, srv_max = service[0.0], service[p_max]
-            suc_0, suc_max = success[0.0], success[p_max]
+            wk_0, wk_max = walk[0.0], walk[p_max]
             lim = min(_BLOCK, slot_cap - base)
         if not q_pu:
             # idle run: ends with the slot of the frame's first primary arrival
@@ -365,26 +385,41 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
                     f_idle = base + bi - frame_start
                     break
             continue
-        # busy run: no secondary service, and it ends when the primary queue empties
-        while q_pu and bi < lim:
-            if busy_gate:
-                if spend / (base + bi or 1) < p_avg:
-                    p1, suc = p_max, suc_max
-                    spend += p_max
-                else:
-                    p1, suc = 0.0, suc_0
-            f_pc += p1
-            f_qsum += q_su
-            q_pu += pu_arrival[bi] - suc[bi]    # busy: no clamp at zero needed
-            adm = arrivals[bi]
-            bi += 1
-            if adm and q_su <= admit_cap:
-                q_su += adm
-                f_adm += adm
-                if q_su > max_q:
-                    max_q = q_su
-                    if q_su > q_bound:
-                        raise RuntimeError(_BOUND_ERROR % (q_su, v + par.a_max))
+        # busy run: no secondary service, and it ends when the primary queue empties;
+        # it admits only while the backlog is at most the admission cap
+        if q_su <= admit_cap:
+            while q_pu and bi < lim:
+                if busy_gate:
+                    if spend / (base + bi or 1) < p_avg:
+                        p1, wk = p_max, wk_max
+                        spend += p_max
+                    else:
+                        p1, wk = 0.0, wk_0
+                f_pc += p1
+                f_qsum += q_su
+                q_pu += wk[bi] - 1      # busy: no clamp at zero needed
+                adm = arrivals[bi]
+                bi += 1
+                if adm:
+                    q_su += adm
+                    f_adm += adm
+                    if q_su > max_q:
+                        max_q = q_su
+                        if q_su > q_bound:
+                            raise RuntimeError(_BOUND_ERROR % (q_su, v + par.a_max))
+                    if q_su > admit_cap:
+                        break
+        if q_su > admit_cap:
+            # above the cap no busy slot admits or serves, so only the primary
+            # moves until the run or the block ends, and the backlog's sum over
+            # those slots is one product. Only fbdpp gets here: the open-loop
+            # kinds' cap, a_max * slot_cap, exceeds any backlog, so no gate runs.
+            run_from = bi
+            while q_pu and bi < lim:
+                f_pc += p1
+                q_pu += wk[bi] - 1
+                bi += 1
+            f_qsum += q_su * (bi - run_from)
         if q_pu:
             continue
         # the busy run just ended the frame
@@ -398,7 +433,8 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             break
         if frames == next_switch:
             lam_pu = next_lam
-            pu_arrival = (pu_column < lam_pu).tobytes()
+            pu_arrival, walk = _walk(pu_column, lam_pu, success)
+            wk, wk_0, wk_max = walk[p1], walk[0.0], walk[p_max]
             next_switch, next_lam = next(switches, (0, lam_pu))
         frame_start += f_len
         if begin_frame is None:
@@ -406,7 +442,7 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             reserve = busy_seen * p_max
         else:
             p0, p1 = begin_frame(q_su, x_su)
-            srv, suc = service[p0], success[p1]
+            srv, wk = service[p0], walk[p1]
         f_idle = f_adm = f_srv = f_qsum = 0
         f_pi = f_pc = 0.0
 

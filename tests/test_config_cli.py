@@ -104,6 +104,43 @@ policy = counter
     assert scenario.params.phi[0.5] == 0.7
 
 
+MAP_BASE = """
+lambda_pu = 0.4
+lambda_su = 0.5
+p_avg = 0.5
+p_max = 1
+policy = counter
+"""
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a power named twice in a map: the later entry used to win silently
+    ("phi = 0:0.6, 0:0.7, 1:0.8\nmu_su = 0:0, 1:1", "phi: power 0 is named twice"),
+    ("phi = 0:0.6, 1:0.8\nmu_su = 0:0, 1:1, 1.0:0.9", "mu_su: power 1 is named twice"),
+    # a 3-level map with no power_levels: the set is {0, 1}, and 0.5 used to be dropped
+    ("phi = 0:0.6, 0.5:0.7, 1:0.8\nmu_su = 0:0, 1:1", "phi names power 0.5, outside the power set 0, 1"),
+    ("phi_nc = 0.6\nphi_c = 0.8\nmu_su = 0:0, 0.5:0.5, 1:1",
+     "mu_su names power 0.5, outside the power set 0, 1"),
+    ("phi = 0:0.6, 0.25:0.65, 0.5:0.7, 1:0.8\nmu_su = 0:0, 0.5:0.5, 1:1\npower_levels = 0, 0.5, 1",
+     "phi names power 0.25, outside the power set 0, 0.5, 1"),
+    # mu_su_max beside a full mu_su map used to be ignored
+    ("phi_nc = 0.6\nphi_c = 0.8\nmu_su = 0:0, 1:1\nmu_su_max = 0.5",
+     "give either mu_su or mu_su_max, not both"),
+])
+def test_map_configs_that_would_lose_an_entry_are_refused(lines, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_text(MAP_BASE + lines + "\n").build_params()
+
+
+def test_map_configs_that_name_each_level_once_still_parse():
+    # the two shorthands alone, and full maps on their own power set
+    for lines in ("phi_nc = 0.6\nphi_c = 0.8\nmu_su_max = 0.5",
+                  "phi = 0:0.6, 1:0.8\nmu_su = 0:0, 1:1",
+                  "phi = 0:0.6, 0.5:0.7, 1:0.8\nmu_su = 0:0, 0.5:0.5, 1:1\npower_levels = 0, 0.5, 1"):
+        params = RunConfig.from_text(MAP_BASE + lines + "\n").build_params()
+        assert set(params.phi) == set(params.mu_su) == set(params.power_set.levels)
+
+
 def test_schedule_parsing():
     text = BASE + "\nlambda_schedule = 350:0.2, 700:0.55\n"
     scenario = RunConfig.from_text(text).build_scenario()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopsim import (
     AlwaysCoopPolicy,
@@ -261,7 +262,10 @@ def _reference_episode(scenario):
     Column 1 is drawn but not read. fbdpp's pair is returned by
     ``begin_frame`` at every boundary and read in every slot; the other kinds
     make one ``choose_power`` call per slot. Stepping stops at the horizon or
-    at the scenario's slot cap, and ``slots`` says where.
+    at the scenario's slot cap, and ``slots`` says where. ``above_cap`` lists
+    the busy slots that start with the backlog above the admission cap, and
+    ``lifts`` maps each busy slot whose admission lifts it there to the new
+    backlog.
     """
     par, spec = scenario.params, scenario.policy
     policy = build_policy(spec, par)
@@ -278,6 +282,7 @@ def _reference_episode(scenario):
     seen_busy = False
     bi = 8192
     blocks = 0
+    above_cap, lifts = [], {}
     if fbdpp:
         p0, p1 = policy.begin_frame(q_su, x_su)
     while len(rows) < scenario.horizon_frames and slot < scenario.slot_cap:
@@ -294,6 +299,10 @@ def _reference_episode(scenario):
         else:
             power = policy.choose_power(idle)
         adm = admit(q_su, int(arrivals[bi - 1]), admit_cap)
+        if not idle and q_su > admit_cap:
+            above_cap.append(slot)
+        elif not idle and q_su + adm > admit_cap:
+            lifts[slot] = q_su + adm
         pu_success = not idle and bool(u[2] < par.phi[power])
         offered = 1 if idle and u[3] < par.mu_su[power] else 0
         served = offered if q_su > 0 else 0
@@ -326,7 +335,8 @@ def _reference_episode(scenario):
     dtypes = (ints, ints, ints, floats, floats, ints, floats, ints, ints)
     out = {name: np.asarray(col, dtype=dt)
            for name, col, dt in zip(FRAME_FIELDS, columns, dtypes)}
-    out.update(max_q_su=max_q, slots=slot, blocks=blocks)
+    out.update(max_q_su=max_q, slots=slot, blocks=blocks,
+               above_cap=np.array(above_cap, dtype=np.int64), lifts=lifts)
     return out
 
 
@@ -518,6 +528,115 @@ def test_kernel_matches_one_slot_spec_busy_run_ends_a_block(monkeypatch, params,
     blocks = _count_blocks(monkeypatch)
     _assert_same_metrics(run_episode(sc), ref)
     assert blocks[0] == ref["blocks"]
+
+
+# fbdpp at v = 4 starts two thirds or more of its busy slots above the admission
+# cap, where the kernel moves only the primary queue; the open-loop kinds' cap is
+# never reached, so they run the same scenarios on the full loops
+CAPPED = PolicySpec(kind="fbdpp", v=4.0)
+CAPPED_KINDS = (CAPPED,) + KINDS[1:]
+
+
+def _above_cap_reference(scenario):
+    """The spec's episode, and the set of busy slots that start above fbdpp's cap.
+
+    Asserts that the open-loop kinds have none.
+    """
+    ref = _reference_episode(scenario)
+    above = set(ref["above_cap"].tolist())
+    if scenario.policy.kind != "fbdpp":
+        assert not above and not ref["lifts"]
+    return ref, above
+
+
+@pytest.mark.parametrize("spec", CAPPED_KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("params", [REF, GRID], ids=["two_point", "grid"])
+def test_kernel_matches_one_slot_spec_above_cap_busy_run_crosses_a_block(params, spec):
+    # an above-cap busy run spans the first block boundary: the backlog sum of
+    # its slots in the first block is added before the next block is read
+    sc = Scenario(params=params, policy=spec, horizon_frames=1500, seed=1)
+    ref, above = _above_cap_reference(sc)
+    if spec.kind == "fbdpp":
+        assert {8190, 8191, 8192, 8193} <= above
+    _assert_same_metrics(run_episode(sc), ref)
+
+
+@pytest.mark.parametrize("spec", CAPPED_KINDS, ids=lambda s: s.kind)
+def test_kernel_matches_one_slot_spec_cap_inside_an_above_cap_busy_run(monkeypatch, spec):
+    # the slot cap lands in the second block, after two slots of an above-cap
+    # busy run and before the rest of it
+    _, above = _above_cap_reference(
+        Scenario(params=REF, policy=CAPPED, horizon_frames=1500, seed=0))
+    cap = min(t for t in above if t > 8192 and {t - 2, t - 1} <= above)
+    sc = Scenario(params=REF, policy=spec, horizon_frames=1500, seed=0)
+    ref = _assert_fails_at_the_cap(monkeypatch, sc, cap)
+    assert ref["blocks"] == 2
+
+
+@pytest.mark.parametrize("spec", (PolicySpec(kind="fbdpp", v=5.0),) + KINDS[1:],
+                         ids=lambda s: s.kind)
+def test_kernel_matches_one_slot_spec_a_max_3_admission_overshoots_the_cap(spec):
+    # with up to three arrivals a slot, a busy-slot admission lifts the backlog
+    # from the cap of 5 to 7, and the run goes on above the cap
+    sc = Scenario(params=A_MAX_3, policy=spec, horizon_frames=1500, seed=0)
+    ref, above = _above_cap_reference(sc)
+    if spec.kind == "fbdpp":
+        assert any(q == 7 and {t + 1, t + 2} <= above for t, q in ref["lifts"].items())
+        assert ref["max_q_su"] == 5 + A_MAX_3.a_max
+    _assert_same_metrics(run_episode(sc), ref)
+
+
+@pytest.mark.parametrize("spec", CAPPED_KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("params, seed, switch", [(REF, 1, 703), (GRID, 5, 705)],
+                         ids=["two_point", "grid"])
+def test_kernel_matches_one_slot_spec_switch_then_above_cap_busy_run(params, seed, switch, spec):
+    # the rate switches inside a block, and the first busy run at the new rate
+    # starts above fbdpp's cap: the walk bytes are rebuilt for the new rate
+    schedule = ((switch, 0.3), (1200, params.lambda_pu))
+    sc = Scenario(params=params, policy=spec, horizon_frames=1500, seed=seed,
+                  lambda_schedule=schedule)
+    ref, above = _above_cap_reference(sc)
+    for frame_index, _ in schedule:
+        assert ref["frame_len"][:frame_index].sum() % 8192 != 0
+    if spec.kind == "fbdpp":
+        first_busy = int(ref["frame_len"][:switch].sum() + ref["idle_len"][switch])
+        assert {first_busy, first_busy + 1} <= above
+    _assert_same_metrics(run_episode(sc), ref)
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A short episode of any kind on a random two-point or 3-level model.
+
+    fbdpp's v runs from 1 to 60, so its admission cap binds wherever the
+    secondary arrives faster than it is served.
+    """
+    levels = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.7), (0.0, 0.5, 1.0)]))
+    p_max, a_max = levels[-1], draw(st.integers(1, 3))
+    phi = sorted(draw(st.lists(st.floats(0.3, 1.0), min_size=len(levels),
+                               max_size=len(levels))))
+    lam_pu = st.floats(0.05, phi[0] - 0.05)
+    params = ModelParams(
+        lambda_pu=draw(lam_pu), lambda_su=draw(st.floats(0.0, float(a_max))), a_max=a_max,
+        phi=dict(zip(levels, phi)),
+        mu_su={p: draw(st.floats(0.0, 1.0)) for p in levels},
+        p_avg=draw(st.floats(0.05, 1.0)) * p_max,
+        power_set=(PowerSet.make_two_point(p_max) if len(levels) == 2
+                   else PowerSet.make_grid(levels)),
+    )
+    kind = draw(st.sampled_from([spec.kind for spec in KINDS]))
+    spec = PolicySpec(kind=kind, v=draw(st.floats(1.0, 60.0)) if kind == "fbdpp" else None)
+    horizon = draw(st.integers(1, 120))
+    frames = draw(st.lists(st.integers(1, horizon), max_size=2, unique=True))
+    schedule = tuple((k, draw(lam_pu)) for k in sorted(frames))
+    return Scenario(params=params, policy=spec, horizon_frames=horizon,
+                    seed=draw(st.integers(0, 2**32 - 1)), lambda_schedule=schedule)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sc=_small_scenarios())
+def test_kernel_matches_one_slot_spec_on_random_small_scenarios(sc):
+    _assert_same_metrics(run_episode(sc), _reference_episode(sc))
 
 
 def _outcome(scenario, source=None):
