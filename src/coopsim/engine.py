@@ -49,11 +49,19 @@ simulated by ``oracle.simulate_stationary``.
 Slot order: observe state, decide (power, admission), sample transmission
 outcomes, sample arrivals, update queues. Departures precede arrivals. The
 virtual power backlog is updated only at frame boundaries.
+
+At each frame's closing boundary the kernel packs the frame's record into
+one 72-byte row, nine 8-byte fields in ``_FRAME_ARRAYS`` order, of a
+buffer sized for the whole horizon up front; the size is exact, since an
+episode returns ``horizon_frames`` frames or raises. The returned arrays
+are copies of the buffer's fields, so an episode keeps no Python object per
+frame and gives the cyclic garbage collector none of its records to scan.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +81,10 @@ _FRAME_ARRAYS = (
     ("power_idle", float), ("power_coop", float), ("q_su_end", np.int64),
     ("x_su_end", float), ("idle_len", np.int64), ("q_sum", np.int64),
 )
+# one 72-byte row per frame: the same fields packed in that order, native byte order
+_FRAME_DTYPE = np.dtype(list(_FRAME_ARRAYS))
+_FRAME_ROW = struct.Struct(
+    "=" + "".join({"i": "q", "f": "d"}[np.dtype(dt).kind] for _, dt in _FRAME_ARRAYS))
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,9 @@ class RunMetrics:
     One row per frame of the horizon, every one of them complete.
     ``q_su_end``/``x_su_end`` are the values right after each frame's closing
     boundary, i.e. the weights the next frame starts from. Each rate is a
-    sum over the frames divided by ``slots``.
+    sum over the frames divided by ``slots``. Each per-frame array is a
+    C-contiguous copy, owning its data, of one field of the episode's packed
+    72-byte frame rows, with that field's ``_FRAME_ARRAYS`` dtype.
     """
 
     policy_label: str
@@ -325,8 +339,9 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     switches = iter(scenario.lambda_schedule)
     next_switch, next_lam = next(switches, (0, lam_pu))
 
-    frame_rows: list[tuple] = []   # one _FRAME_ARRAYS row per completed frame
-    append_row = frame_rows.append
+    # one _FRAME_ROW per frame: a returned episode has exactly `horizon` of them
+    rows = bytearray(_FRAME_ROW.size * horizon)
+    pack_row, row_size = _FRAME_ROW.pack_into, _FRAME_ROW.size
     q_pu = q_su = frame_start = max_q = frames = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
     x_su = f_pi = f_pc = 0.0
@@ -427,7 +442,8 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
         x_su = update_virtual_queue(x_su, f_len, f_pi + f_pc, p_avg)
         if not x_su >= 0.0:
             raise RuntimeError("virtual backlog went negative: x_su=%g" % x_su)
-        append_row((f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su, f_idle, f_qsum))
+        pack_row(rows, frames * row_size, f_len, f_adm, f_srv, f_pi, f_pc, q_su, x_su,
+                 f_idle, f_qsum)
         frames += 1
         if frames == horizon:
             break
@@ -446,11 +462,8 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
         f_idle = f_adm = f_srv = f_qsum = 0
         f_pi = f_pc = 0.0
 
-    columns = list(zip(*frame_rows))    # all at once: a lazy zip peaks 0.4 MiB higher
-    arrays = {
-        name: np.fromiter(col, dt, count=len(col))
-        for (name, dt), col in zip(_FRAME_ARRAYS, columns)
-    }
+    table = np.frombuffer(rows, _FRAME_DTYPE)
+    arrays = {name: table[name].copy() for name, _ in _FRAME_ARRAYS}
     metrics = RunMetrics(
         policy_label=spec.label(),
         v=spec.v,

@@ -1,4 +1,6 @@
+import gc
 import math
+import platform
 from dataclasses import replace
 from pathlib import Path
 
@@ -772,3 +774,50 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
     assert cli.main(["baselines", "--config", str(config), "--frames", "20"]) == 0
     assert all(isinstance(sc, Scenario) for sc in scenarios)
     assert [sc.policy.kind for sc in scenarios] == ["no_coop", "always_coop", "counter", "fbdpp"]
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("params, horizon", [(REF, 300), (GRID, 300), (REF, 1)],
+                         ids=["two_point", "grid", "one_frame"])
+def test_frame_arrays_own_contiguous_data_of_their_field_dtype(params, horizon, spec):
+    from coopsim.engine import _FRAME_ARRAYS, _FRAME_DTYPE, _FRAME_ROW
+
+    # the packed row and the structured dtype that unpacks it agree on every byte
+    assert _FRAME_ROW.size == _FRAME_DTYPE.itemsize == 72
+    assert [name for name, _ in _FRAME_ARRAYS] == list(FRAME_FIELDS)
+    m = run_episode(Scenario(params=params, policy=spec, horizon_frames=horizon, seed=8))
+    for name, dtype in _FRAME_ARRAYS:
+        got = getattr(m, name)
+        # a copy of its field, not a strided view that keeps the whole row buffer alive
+        assert got.flags.owndata and got.base is None, name
+        assert got.flags.c_contiguous, name
+        assert got.dtype == np.dtype(dtype), name
+        assert got.shape == (horizon,), name
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts CPython's generational collections")
+@pytest.mark.parametrize("spec", [PolicySpec(kind="no_coop"), FBDPP], ids=lambda s: s.kind)
+def test_long_episode_feeds_the_cyclic_collector_nothing_it_keeps(spec):
+    # frame records go into one preallocated buffer, not one tracked tuple per
+    # frame; only fbdpp's decision memo allocates tracked objects per frame
+    sc = Scenario(params=REF, policy=spec, horizon_frames=22_500, seed=1)
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_episode(sc)
+    finally:
+        gc.callbacks.remove(count)
+        if not was_enabled:
+            gc.disable()
+    assert counts[1:] == [0, 0]
+    if spec.kind == "no_coop":
+        assert counts[0] == 0
