@@ -1,20 +1,12 @@
 """Slotted-time cooperation simulator: model, controllers, oracle, analysis."""
 
 from .analysis import (
-    ChainSolution,
     DriftConstants,
     busy_period_moments,
     compute_d,
     drift_constants,
     frame_length_bounds,
-    steady_state,
     throughput_lower_bound,
-)
-from .baselines import (
-    AlwaysCoopPolicy,
-    CounterPolicy,
-    NoCoopPolicy,
-    budget_gate,
 )
 from .controller import (
     FadeState,
@@ -22,7 +14,6 @@ from .controller import (
     FrameDriftPenaltyPolicy,
     FrameRule,
     MultiUserDecision,
-    admit,
     solve_multiuser_frame,
     solve_p1_fading,
 )
@@ -31,7 +22,6 @@ from .engine import (
     PolicySpec,
     RunMetrics,
     Scenario,
-    build_policy,
     derive_seed,
     run_episode,
     sweep_v,
@@ -40,8 +30,6 @@ from .model import (
     ModelParams,
     PowerSet,
     UnstableChainError,
-    step_pu_queue,
-    step_su_queue,
     update_virtual_queue,
 )
 from .montecarlo import (

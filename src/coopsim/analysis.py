@@ -3,10 +3,9 @@
 The primary queue, viewed at slot boundaries, is a birth-death chain: from a
 nonempty state a packet departs with the per-slot success probability and a
 new one arrives with probability lambda_pu, independently. All quantities
-below follow from that structure: the idle-state mass of the chain, expected
-frame lengths under the two extreme cooperation policies, the busy-period
-moments, and the drift constants that bound the online controller's
-optimality gap.
+below follow from that structure: expected frame lengths under the two
+extreme cooperation policies, the busy-period moments, and the drift
+constants that bound the online controller's optimality gap.
 """
 
 from __future__ import annotations
@@ -14,15 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ModelParams, UnstableChainError
-
-
-@dataclass(frozen=True)
-class ChainSolution:
-    """Steady state of the primary occupancy chain."""
-
-    pi_0: float            # fraction of slots the primary is idle
-    busy_fraction: float
-    effective_mu: float    # per-busy-slot success probability
 
 
 @dataclass(frozen=True)
@@ -34,23 +24,6 @@ class DriftConstants:
     d_const: float         # worst-case second moment of a frame length
     t_min: float
     t_max: float
-
-
-def steady_state(lambda_pu: float, mu_eff: float) -> ChainSolution:
-    """Solve the occupancy chain when every busy slot succeeds w.p. mu_eff.
-
-    Cutting the chain between neighbouring states and summing the balance
-    equations gives lambda_pu = (1 - pi_0) * mu_eff, i.e. the idle fraction
-    is 1 - lambda_pu / mu_eff.
-    """
-    if not 0.0 < mu_eff <= 1.0:
-        raise ValueError("mu_eff must lie in (0, 1]")
-    if lambda_pu >= mu_eff:
-        raise UnstableChainError(
-            "unstable primary queue: lambda_pu=%g >= mu_eff=%g" % (lambda_pu, mu_eff)
-        )
-    pi_0 = 1.0 - lambda_pu / mu_eff
-    return ChainSolution(pi_0=pi_0, busy_fraction=1.0 - pi_0, effective_mu=mu_eff)
 
 
 def frame_length_bounds(params: ModelParams) -> tuple[float, float]:

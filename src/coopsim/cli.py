@@ -23,7 +23,9 @@ import numpy as np
 
 from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
 from .config import ConfigError, RunConfig
-from .engine import RNG_NAME, BlockSource, PolicySpec, RunMetrics, run_episode, sweep_v
+from .engine import (
+    POLICY_KINDS, RNG_NAME, BlockSource, PolicySpec, RunMetrics, run_episode, sweep_v,
+)
 from .model import ModelParams
 from .oracle import (
     StationaryPolicy,
@@ -311,7 +313,7 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     else:
         baseline_frames = max(scenario.horizon_frames, int(120_000 / constants.t_min) + 1)
     v = scenario.policy.v if scenario.policy.kind == "fbdpp" else cfg.get("v", 500.0)
-    specs = [PolicySpec(kind=kind) for kind in ("no_coop", "always_coop", "counter")]
+    specs = [PolicySpec(kind=kind) for kind in POLICY_KINDS if kind != "fbdpp"]
     specs.append(PolicySpec(kind="fbdpp", v=v))
     # every row runs on the same seed, so each block is drawn and prepared once
     source = BlockSource(params, scenario.seed)

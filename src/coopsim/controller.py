@@ -4,8 +4,9 @@ At the start of each frame the controller reads the pair of weights
 (secondary backlog, virtual power backlog) in ``begin_frame``, its one hook,
 and picks two constant powers for the whole frame: one for every primary-idle
 slot's own traffic, one for cooperative transmission in every primary-busy
-slot. Admission is a per-slot backlog threshold, which the engine applies
-inline and ``admit`` states. No decision needs the arrival rates.
+slot. Admission is a per-slot backlog threshold, admit while the backlog is
+at most v, which the engine applies inline. No decision needs the arrival
+rates.
 
 The two powers come from a pair of one-dimensional problems over the finite
 power set:
@@ -63,11 +64,6 @@ class FadingModel:
         total = sum(s.prob for s in self.states)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("fade state probabilities must sum to 1")
-
-
-def admit(q_su_now: int, arrivals_now: int, v: float) -> int:
-    """Admit this slot's arrivals iff the current backlog is at most v."""
-    return arrivals_now if q_su_now <= v else 0
 
 
 class FrameRule:
@@ -182,7 +178,9 @@ def solve_p1_fading(
     powers. Exhaustive when |power set| ** |states| is at most
     ``_FADING_SIZE_CAP``; otherwise coordinate descent from the all-zero
     vector. Ties resolve to the lexicographically smallest power vector,
-    extending the lower-power rule.
+    extending the lower-power rule: each descent step moves its coordinate to
+    the lowest level that attains the coordinate's minimum, even where that
+    level only ties the current power.
     """
     levels = params.power_set.levels
     n_states = len(fading.states)
@@ -214,7 +212,7 @@ def solve_p1_fading(
                 trial = vec.copy()
                 trial[i] = p
                 val = objective(trial)
-                if val < best_val:
+                if val < best_val or val == best_val and p < best_p:
                     best_p, best_val = p, val
             if best_p != vec[i]:
                 vec[i] = best_p

@@ -11,11 +11,10 @@ first slot, and returns the frame's ``(p0, p1)`` power pair; fbdpp is the one
 kind an episode builds a policy for. The open-loop kinds (``no_coop``,
 ``always_coop``, ``counter``) gate every slot on the running spend, and the
 kernel evaluates their budget gates itself, against its own slot index,
-charging spend only when a gate opens. From ``baselines`` it reads only which
-spend each kind's idle gate compares and whether its busy slots may spend;
-their ``choose_power(idle)`` hooks are the per-slot statement of the gates
-that the tests hold the kernel to. A slot's power is spent whether or not the
-secondary queue has a packet. No policy draws randomness.
+charging spend only when a gate opens. ``_GATES`` holds each kind's row:
+whether its idle gate reads the cooperation reserve in place of the spend,
+and whether its busy slots may spend at all. A slot's power is spent
+whether or not the secondary queue has a packet. No policy draws randomness.
 The engine does admission and both queue steps inline, and only a slot with
 a secondary arrival runs the admission and backlog-bound code: fbdpp admits
 while the backlog is at most v, held as the int ``floor(v)``, the others
@@ -25,10 +24,10 @@ power, less 1. A busy slot never serves the secondary, so once fbdpp's
 backlog is above its cap nothing but the primary can move until the next
 idle slot: the busy run, or the block, finishes in a loop that only spends
 ``p1`` and steps the primary, and the backlog's sum over those slots is
-added as one product. ``step_pu_queue``, ``step_su_queue`` and ``admit``
-state the same slot helper by helper, as the hooks state the gates; the
-tests hold the engine to them. One seeded generator draws five uniforms per
-slot, 8192 slots at a time, so a rerun reproduces every number bit for bit.
+added as one product. The tests hold the kernel to a one-slot spec,
+``tests/spec.py``, that states the same slot, gates included, one helper at
+a time. One seeded generator draws five uniforms per slot, 8192 slots at a
+time, so a rerun reproduces every number bit for bit.
 ``_prepare`` turns each block once into a list of arrival counts, one byte
 string of secondary service and one bool array of primary success per
 power level, and column 4, which an episode compares with its primary rate.
@@ -66,13 +65,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import AlwaysCoopPolicy, CounterPolicy, NoCoopPolicy
 from .controller import FrameDriftPenaltyPolicy
 from .model import ModelParams, UnstableChainError, update_virtual_queue
 from .montecarlo import arrival_counts
 
 RNG_NAME = "pcg64"
-POLICY_KINDS = ("fbdpp", "no_coop", "always_coop", "counter")
+# each open-loop kind's budget gate: (idle gate reads the cooperation reserve,
+# busy slots may spend). The reserve charges every busy slot seen at p_max.
+_GATES = {
+    "no_coop": (False, False),
+    "always_coop": (True, True),
+    "counter": (False, True),
+}
+POLICY_KINDS = ("fbdpp", *_GATES)
 _BLOCK = 8192
 _BOUND_ERROR = "backlog bound violated: q_su=%d > admit cap + a_max=%g"
 # RunMetrics' per-frame arrays, in the order run_episode records a frame.
@@ -146,15 +151,6 @@ class Scenario:
         10,000 slots per frame plus a million.
         """
         return self.horizon_frames * 10_000 + 1_000_000
-
-
-_OPEN_LOOP = {"no_coop": NoCoopPolicy, "always_coop": AlwaysCoopPolicy, "counter": CounterPolicy}
-
-
-def build_policy(spec: PolicySpec, params: ModelParams):
-    if spec.kind == "fbdpp":
-        return FrameDriftPenaltyPolicy(params)
-    return _OPEN_LOOP[spec.kind](params)
 
 
 @dataclass
@@ -316,14 +312,12 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     spec = scenario.policy
     lam_pu = par.lambda_pu
     p_avg, p_max, horizon = par.p_avg, par.p_max, scenario.horizon_frames
-    # the open-loop kinds' budget gates run here, as the baselines' hooks state
-    # them; the three flags are bools, so fbdpp's per-slot test is a truth test
-    gates = _OPEN_LOOP.get(spec.kind)
-    gated = gates is not None
-    reserving = gated and gates.idle_reserve
-    busy_gate = gated and gates.busy_spends
+    # the open-loop kinds' budget gates run here, one _GATES row each; the three
+    # flags are bools, so fbdpp's per-slot test is a truth test
+    gated = spec.kind in _GATES
+    reserving, busy_gate = _GATES.get(spec.kind, (False, False))
     # bound per episode, so a hook patched on its class still runs
-    begin_frame = None if gated else build_policy(spec, par).begin_frame
+    begin_frame = None if gated else FrameDriftPenaltyPolicy(par).begin_frame
     if source is None:
         blocks = _draw_blocks(par, scenario.seed)
     elif source.seed != scenario.seed or source.params != par:

@@ -1,4 +1,4 @@
-"""Core domain model: power sets, static parameters, per-slot queue dynamics.
+"""Core domain model: power sets, static parameters, the virtual power queue.
 
 The network is slotted. A licensed (primary) transmitter owns the channel and
 sends one packet per slot whenever its queue is nonempty; an unlicensed
@@ -8,7 +8,9 @@ probability. Time splits into frames: each frame is one idle run of the
 primary queue followed by one busy run, ending when the queue drains again.
 
 Everything here is a pure function or a plain record; each episode owns its
-state and shares none.
+state and shares none. The engine steps both real queues inline, departures
+before arrivals; only the virtual power backlog has a helper here, since it
+moves once per frame.
 """
 
 from __future__ import annotations
@@ -149,16 +151,6 @@ class ModelParams:
     @property
     def mu_max(self) -> float:
         return max(self.mu_su[p] for p in self.power_set.levels)
-
-
-def step_pu_queue(q_pu: int, pu_success: bool, arrival: int) -> int:
-    """Advance the primary queue one slot: departures before arrivals."""
-    return max(q_pu - (1 if pu_success else 0), 0) + arrival
-
-
-def step_su_queue(q_su: int, served: int, admitted: int) -> int:
-    """Advance the secondary queue one slot: departures before arrivals."""
-    return max(q_su - served, 0) + admitted
 
 
 def update_virtual_queue(

@@ -15,9 +15,9 @@ from coopsim import (
     sample_busy_periods,
     sample_frames,
     sample_idle_periods,
-    steady_state,
     throughput_lower_bound,
 )
+from spec import steady_state
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 

@@ -546,8 +546,8 @@ def test_readme_names_resolve():
     names = [token.removeprefix("coopsim.") for token in
              re.findall(r"`([\w.]+)`", README.read_text()) if not token.endswith(".csv")]
     dotted = [name for name in names if name.split(".")[0] in modules and "." in name]
-    assert {"controller.FrameRule", "model.step_pu_queue", "controller.admit",
-            "baselines.budget_gate"} <= set(dotted)
+    assert {"controller.FrameRule", "engine.BlockSource",
+            "oracle.simulate_stationary"} <= set(dotted)
     missing = []
     for name in dotted:
         module, *attrs = name.split(".")

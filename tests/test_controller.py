@@ -10,10 +10,10 @@ from coopsim import (
     FrameRule,
     ModelParams,
     PowerSet,
-    admit,
     solve_multiuser_frame,
     solve_p1_fading,
 )
+from spec import admit
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
@@ -274,6 +274,44 @@ def test_fading_size_cap_and_descent(monkeypatch):
     out = solve_p1_fading(3.0, 1.0, fading, par)
     want = FrameRule(par).busy_power(3.0, 1.0)
     assert all(v == want for v in out.values())
+
+
+# dyadic phi and probabilities keep every numerator and denominator exact, so
+# the optimum value 2 is met exactly at (0, 0.5), (0, 1), (1, 0.5) and (1, 1)
+_TIED_LEVELS = PowerSet.make_grid([0, 0.5, 1])
+_TIED = FadingModel(states=(
+    FadeState("a", 0.5, {0.0: 0.25, 0.5: 0.25, 1.0: 0.5}),
+    FadeState("b", 0.5, {0.0: 0.25, 0.5: 0.875, 1.0: 1.0}),
+))
+_TIED_PARAMS = ModelParams(
+    lambda_pu=0.2, lambda_su=0.5, a_max=1, phi={0.0: 0.25, 0.5: 0.5, 1.0: 0.75},
+    mu_su={0.0: 0.0, 0.5: 0.5, 1.0: 1.0}, p_avg=0.5, power_set=_TIED_LEVELS,
+)
+
+
+def _tied_objective(vec):
+    num = 1.0 + 0.5 * sum(s.prob * p for s, p in zip(_TIED.states, vec))
+    return num / sum(s.prob * s.phi[p] for s, p in zip(_TIED.states, vec))
+
+
+def test_fading_exhaustive_tie_takes_the_smallest_vector():
+    values = {vec: _tied_objective(vec)
+              for vec in itertools.product(_TIED_LEVELS.levels, repeat=2)}
+    ties = sorted(vec for vec, val in values.items() if val == min(values.values()))
+    assert ties == [(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)]
+    assert min(values.values()) == 2.0
+    assert solve_p1_fading(1.0, 0.5, _TIED, _TIED_PARAMS) == {"a": 0.0, "b": 0.5}
+
+
+def test_fading_descent_tie_keeps_the_lower_power(monkeypatch):
+    import coopsim.controller as controller
+
+    monkeypatch.setattr(controller, "_FADING_SIZE_CAP", 1)     # 3^2 vectors: descent
+    # the first sweep raises a to 1, then meets b's tie of 0.5 and 1 and keeps
+    # 0.5; the second finds a's power 0 tied with 1 at value 2 and lowers it
+    assert _tied_objective((1.0, 0.5)) == _tied_objective((0.0, 0.5)) == 2.0
+    assert _tied_objective((1.0, 0.0)) < _tied_objective((0.0, 0.0))
+    assert solve_p1_fading(1.0, 0.5, _TIED, _TIED_PARAMS) == {"a": 0.0, "b": 0.5}
 
 
 def test_policy_queue_bound_and_frame_constancy():

@@ -9,26 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopsim import (
-    AlwaysCoopPolicy,
     BlockSource,
-    CounterPolicy,
+    FrameDriftPenaltyPolicy,
     ModelParams,
-    NoCoopPolicy,
     PolicySpec,
     PowerSet,
     Scenario,
     UnstableChainError,
-    admit,
     arrival_counts,
-    build_policy,
     derive_seed,
     run_episode,
-    step_pu_queue,
-    step_su_queue,
     sweep_v,
     update_virtual_queue,
 )
 from coopsim.analysis import frame_length_bounds
+
+import spec as slot_spec
+from spec import OPEN_LOOP, admit, budget_gate, step_pu_queue, step_su_queue
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 FBDPP = PolicySpec(kind="fbdpp", v=100.0)
@@ -200,33 +197,22 @@ def test_sweep_seeds_and_ordering():
 def test_one_policy_call_per_slot(monkeypatch, spec):
     # fbdpp's one hook, begin_frame, runs once per frame, and every slot of the
     # frame spends the pair it returns; the open-loop kinds' budget gates run
-    # in the kernel, so their episodes build no policy and call no hook
+    # in the kernel, so their episodes build no policy
     import coopsim.engine as engine
 
-    build_policy = engine.build_policy
-    built, pairs, hook_calls = [], [], [0]
+    built, pairs = [], []
 
-    def recording_policy(spec, params):
-        policy = build_policy(spec, params)
-        begin = policy.begin_frame
+    class Recording(FrameDriftPenaltyPolicy):
+        def __init__(self, params):
+            super().__init__(params)
+            built.append(self)
 
-        def recorded(q_su, x_su):
-            pairs.append(begin(q_su, x_su))
+        def begin_frame(self, q_su, x_su):
+            pairs.append(super().begin_frame(q_su, x_su))
             return pairs[-1]
 
-        policy.begin_frame = recorded
-        built.append(policy)
-        return policy
-
-    for cls in (NoCoopPolicy, AlwaysCoopPolicy, CounterPolicy):
-        def counted(self, idle, _choose=cls.choose_power):
-            hook_calls[0] += 1
-            return _choose(self, idle)
-
-        monkeypatch.setattr(cls, "choose_power", counted)
-    monkeypatch.setattr(engine, "build_policy", recording_policy)
+    monkeypatch.setattr(engine, "FrameDriftPenaltyPolicy", Recording)
     m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=300, seed=9))
-    assert hook_calls[0] == 0
     if spec.kind == "fbdpp":
         [policy] = built
         assert not hasattr(policy, "choose_power")
@@ -257,21 +243,21 @@ KINDS = (
 
 
 def _reference_episode(scenario):
-    """The one-slot spec, stepped slot by slot with the model's helpers.
+    """The one-slot spec, stepped slot by slot with the helpers of ``spec``.
 
     Five uniforms per slot, in blocks of 8192 rows, used as run_episode uses
     them: arrivals, primary success, secondary service, primary arrival.
     Column 1 is drawn but not read. fbdpp's pair is returned by
     ``begin_frame`` at every boundary and read in every slot; the other kinds
-    make one ``choose_power`` call per slot. Stepping stops at the horizon or
-    at the scenario's slot cap, and ``slots`` says where. ``above_cap`` lists
-    the busy slots that start with the backlog above the admission cap, and
-    ``lifts`` maps each busy slot whose admission lifts it there to the new
-    backlog.
+    make one ``choose_power`` call per slot on their ``spec.OPEN_LOOP`` gate.
+    Stepping stops at the horizon or at the scenario's slot cap, and
+    ``slots`` says where. ``above_cap`` lists the busy slots that start with
+    the backlog above the admission cap, and ``lifts`` maps each busy slot
+    whose admission lifts it there to the new backlog.
     """
     par, spec = scenario.params, scenario.policy
-    policy = build_policy(spec, par)
     fbdpp = spec.kind == "fbdpp"
+    policy = FrameDriftPenaltyPolicy(par) if fbdpp else OPEN_LOOP[spec.kind](par)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     admit_cap = spec.v if fbdpp else np.inf
     lam_pu = par.lambda_pu
@@ -374,22 +360,26 @@ ROUNDING = ModelParams.two_point(0.2, 0.5, 0.6, 0.8, 1 / 3, p_max=0.7)
 def _count_gate_ties(monkeypatch):
     """Counts of the spec's gates read at spend / slots == p_avg exactly, by ``idle``."""
     ties = {True: 0, False: 0}
-    for cls in (NoCoopPolicy, AlwaysCoopPolicy, CounterPolicy):
+    idle_now = [None]
+
+    def counted_gate(spend, slots, p_avg, p_max):
+        if spend / max(slots, 1) == p_avg:
+            ties[idle_now[0]] += 1
+        return budget_gate(spend, slots, p_avg, p_max)
+
+    for cls in OPEN_LOOP.values():
         def counted(self, idle, _choose=cls.choose_power):
-            spend = self.spend
-            if idle and self.idle_reserve:
-                spend = self.busy_slots_seen * self.p_max + self.idle_power_spent
-            if (idle or self.busy_spends) and spend / (self.slots or 1.0) == self.p_avg:
-                ties[idle] += 1
+            idle_now[0] = idle
             return _choose(self, idle)
 
         monkeypatch.setattr(cls, "choose_power", counted)
+    monkeypatch.setattr(slot_spec, "budget_gate", counted_gate)
     return ties
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
 def test_kernel_matches_one_slot_spec_at_a_rounding_p_max(monkeypatch, spec):
-    # the kernel's gates against the hooks where the reserve's terms, the
+    # the kernel's gates against the spec's where the reserve's terms, the
     # strict comparison, the slot count and when spend is charged all show
     ties = _count_gate_ties(monkeypatch)
     schedule = ((700, 0.3), (1500, ROUNDING.lambda_pu))
@@ -724,42 +714,29 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
 
     import coopsim.cli as cli
     import coopsim.engine as engine
-    from coopsim import FrameDriftPenaltyPolicy
 
-    hooks = [(FrameDriftPenaltyPolicy, "begin_frame", FBDPP)] + [
-        (cls, "choose_power", PolicySpec(kind=kind))
-        for cls, kind in ((NoCoopPolicy, "no_coop"), (AlwaysCoopPolicy, "always_coop"),
-                          (CounterPolicy, "counter"))
-    ]
     assert list(inspect.signature(cli.write_frames_csv).parameters) == ["path", "metrics"]
-    boundaries = [0]
+    boundaries, calls = [0], [0]
 
     def counted_update(*args):
         boundaries[0] += 1
         return update_virtual_queue(*args)
 
     monkeypatch.setattr(engine, "update_virtual_queue", counted_update)
-    for cls, name, _ in hooks:
-        assert name in cls.__dict__, (cls.__name__, name)
-    originals = {(cls, name): cls.__dict__[name] for cls, name, _ in hooks}
-    for cls, name, spec in hooks:
-        calls = [0]
+    assert "begin_frame" in FrameDriftPenaltyPolicy.__dict__
 
-        def counted(self, *args, _fn=originals[cls, name]):
-            calls[0] += 1
-            return _fn(self, *args)
+    def counted(self, *args, _fn=FrameDriftPenaltyPolicy.__dict__["begin_frame"]):
+        calls[0] += 1
+        return _fn(self, *args)
 
-        monkeypatch.setattr(cls, name, counted)
-        boundaries[0] = 0
+    monkeypatch.setattr(FrameDriftPenaltyPolicy, "begin_frame", counted)
+    for spec in (FBDPP,) + KINDS[1:]:
+        calls[0] = boundaries[0] = 0
         m = run_episode(Scenario(params=REF, policy=spec, horizon_frames=50, seed=4))
-        if spec.kind != "fbdpp":
-            # the kernel runs the open-loop gates itself: the hooks stay on
-            # their classes as the per-slot spec, and the tracer counts 0 calls
-            assert calls[0] == 0, cls.__name__
-        else:
-            # one decision per frame: none after the boundary that completes the horizon
-            assert (calls[0], m.frames) == (50, 50)
-        assert boundaries[0] == m.frames
+        # one decision per frame, none after the boundary that completes the
+        # horizon; the kernel runs the open-loop gates itself and calls no hook
+        assert calls[0] == (50 if spec.kind == "fbdpp" else 0), spec.kind
+        assert boundaries[0] == m.frames == 50
 
     # the per-kind episode spans read the policy kind off the scenario that
     # cli.run_episode gets first: baselines makes one such call per row

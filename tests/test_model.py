@@ -7,10 +7,9 @@ from coopsim import (
     ModelParams,
     PowerSet,
     UnstableChainError,
-    step_pu_queue,
-    step_su_queue,
     update_virtual_queue,
 )
+from spec import step_pu_queue, step_su_queue
 
 
 def test_step_pu_queue_examples():

@@ -14,8 +14,8 @@ from coopsim import (
     simulate_stationary,
 )
 from coopsim import oracle
-from coopsim.model import step_pu_queue, step_su_queue
 from coopsim.montecarlo import arrival_counts
+from spec import step_pu_queue, step_su_queue
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
 
@@ -70,6 +70,30 @@ def test_arrival_cap_binds_with_cheapest_policy():
     assert pol.coop_prob == 0.0              # no cooperation needed for 0.1
     assert pol.idle_tx_prob == pytest.approx(0.1 / (1 / 6))
     assert pol.power_used <= 0.5
+
+
+def test_equal_success_probabilities_make_cooperation_worthless():
+    # phi_c == phi_nc: cooperation buys nothing, so q = 0 whatever the budget
+    flat = ModelParams.two_point(0.5, 0.5, 0.7, 0.7, 0.5)
+    pol = optimal_two_point(flat)
+    assert pol.coop_prob == 0.0 and pol.idle_tx_prob == 1.0
+    assert pol.power_used == pol.upsilon == 2 / 7
+
+
+def test_grid_searches_the_full_cooperation_row():
+    # a slack budget peaks on the last q row, q = 1, which the range must build
+    slack = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, p_avg=1.0)
+    best = grid_search(slack, step=0.01)
+    assert (best.coop_prob, best.idle_tx_prob, best.upsilon) == (1.0, 1.0, 0.375)
+
+
+def test_closed_form_refuses_a_grid_that_beats_it(monkeypatch):
+    best = optimal_two_point(REF).upsilon
+    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params, step: best + 1e-10)
+    assert optimal_two_point(REF).upsilon == best      # within the 1e-9 slack
+    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params, step: best + 1e-8)
+    with pytest.raises(RuntimeError, match="grid refinement .* beat the closed form"):
+        optimal_two_point(REF)
 
 
 def test_grid_agrees_at_reference():
