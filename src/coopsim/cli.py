@@ -56,6 +56,10 @@ SUMMARY_CSV_COLUMNS = (
 )
 SWEEP_CSV_COLUMNS = ("v", "throughput_admitted", "avg_q_su", "avg_power")
 ORACLE_CSV_COLUMNS = ("upsilon", "q", "p", "pi_0", "power_used")
+# frames.csv rows formatted and written per write call, and the most texts
+# that one column's memo keeps
+_ROWS_PER_WRITE = 1024
+_MEMO_TEXTS = 1024
 
 
 def _meta_line(metrics: RunMetrics) -> str:
@@ -72,24 +76,32 @@ def _write_csv(path: Path, meta_line: str | None, header, row_format: str, rows)
     quote or newline, so none needs quoting and the bytes are what
     ``csv.writer`` writes.
     """
-    _write_lines(path, meta_line, header, map(row_format.__mod__, rows))
+    _write_lines(path, meta_line, header, [map(row_format.__mod__, rows)])
 
 
-def _write_lines(path: Path, meta_line: str | None, header, lines) -> None:
-    """``_write_csv`` for rows already formatted, one string per row."""
+def _write_lines(path: Path, meta_line: str | None, header, chunks) -> None:
+    """``_write_csv`` for rows already formatted, one string per row.
+
+    ``chunks`` yields iterables of row strings; each is joined and written
+    before the next is asked for, so a writer that yields a bounded number of
+    rows at a time holds only that many row strings, however long the file.
+    """
     with open(path, "w", newline="") as fh:
         if meta_line is not None:
             fh.write(meta_line + "\n")
         fh.write(",".join(header) + "\r\n")
-        # the "" ends the last row, and makes no line when there are no rows
-        fh.write("\r\n".join([*lines, ""]))
+        for lines in chunks:
+            # the "" ends the chunk's last row, and makes no line for no rows
+            fh.write("\r\n".join([*lines, ""]))
 
 
 class _ReprMemo(dict):
     """``memo[x]`` is ``repr(x)``, each distinct int or float of a column formatted once.
 
     An int's repr is its ``%d`` text. ``0.0 == -0.0`` with one hash, so zeros
-    are kept only if ``keep_zero`` says the column holds no ``-0.0``.
+    are kept only if ``keep_zero`` says the column holds no ``-0.0``. At most
+    ``_MEMO_TEXTS`` texts are kept; later new values are formatted on each
+    use, so a column of ever new values (a growing backlog) does not grow it.
     """
 
     def __init__(self, keep_zero: bool) -> None:
@@ -97,21 +109,31 @@ class _ReprMemo(dict):
 
     def __missing__(self, x: float) -> str:
         text = repr(x)
-        if x or self.keep_zero:
+        if (x or self.keep_zero) and len(self) < _MEMO_TEXTS:
             self[x] = text
         return text
 
 
 def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
+    """The per-frame trace, one row per frame, written ``_ROWS_PER_WRITE`` rows at a time.
+
+    Only one chunk's values and row strings are held at once, and each
+    column's memo keeps at most ``_MEMO_TEXTS`` texts, so the writer's memory
+    does not grow with the horizon.
+    """
+    columns = (metrics.frame_len, metrics.admitted, metrics.served, metrics.power_idle,
+               metrics.power_coop, metrics.q_su_end, metrics.x_su_end)
     # Frames repeat few values in each column but the frame index, so each
-    # such column formats its values through a memo of its own.
-    texts = [
-        map(_ReprMemo(not np.signbit(column).any()).__getitem__, column.tolist())
-        for column in (metrics.frame_len, metrics.admitted, metrics.served, metrics.power_idle,
-                       metrics.power_coop, metrics.q_su_end, metrics.x_su_end)
-    ]
-    rows = map(",".join, zip(map(repr, range(1, metrics.frames + 1)), *texts))
-    _write_lines(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, rows)
+    # such column formats its values through one memo of its own for the file.
+    memos = [_ReprMemo(not np.signbit(column).any()).__getitem__ for column in columns]
+
+    def chunks():
+        for lo in range(0, metrics.frames, _ROWS_PER_WRITE):
+            hi = min(lo + _ROWS_PER_WRITE, metrics.frames)
+            texts = [map(memo, column[lo:hi].tolist()) for memo, column in zip(memos, columns)]
+            yield map(",".join, zip(map(repr, range(lo + 1, hi + 1)), *texts))
+
+    _write_lines(path, _meta_line(metrics), FRAMES_CSV_COLUMNS, chunks())
 
 
 def read_frames_csv(path: Path) -> dict[str, list]:

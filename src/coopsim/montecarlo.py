@@ -9,9 +9,10 @@ first-passage times of the walk sum(success - arrival) to levels 1, 2, 3...
 That observation lets millions of runs be drawn with a handful of numpy
 passes instead of a slot loop. The walk is drawn in fixed chunks, which fix
 the uniform stream, and run in cache-sized sub-blocks through buffers
-allocated once per call: about 0.6 MiB beside the returned lengths, so
-16 bytes per frame for ``sample_frames`` (200,000 frames peak near
-3.6 MiB), at any sample count.
+allocated once per call: about 0.6 MiB beside the returned lengths, at any
+sample count. ``sample_frames`` adds each busy run into the idle-run array
+it returns, so it holds 8 bytes per frame plus those buffers (200,000
+frames peak near 2.1 MiB).
 """
 
 from __future__ import annotations
@@ -66,7 +67,18 @@ def sample_busy_periods(
     n_periods: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw busy-run lengths for a fixed per-busy-slot success probability.
+    """Draw busy-run lengths for a fixed per-busy-slot success probability."""
+    _check_count(n_periods, "n_periods")
+    _check_busy(lambda_pu, success_prob)
+    lengths = np.zeros(n_periods, dtype=np.int64)
+    _add_busy_periods(lengths, lambda_pu, success_prob, rng)
+    return lengths
+
+
+def _add_busy_periods(
+    lengths: np.ndarray, lambda_pu: float, success_prob: float, rng: np.random.Generator
+) -> None:
+    """Add one busy-run length into each entry of the int64 array ``lengths``.
 
     Walk increments are (departure - arrival) per slot; the walk's running
     maximum increases by at most one per slot, so the first index where the
@@ -80,11 +92,9 @@ def sample_busy_periods(
     until ``n_periods`` ends are found. The rest of the chunk is still
     drawn, so the generator ends where a whole-chunk draw leaves it. Every
     pass writes into buffers allocated once per call; memory is about
-    0.6 MiB plus the returned 8 bytes per period, however long the walk.
+    0.6 MiB beside ``lengths``, however long the walk.
     """
-    _check_count(n_periods, "n_periods")
-    _check_busy(lambda_pu, success_prob)
-    lengths = np.empty(n_periods, dtype=np.int64)
+    n_periods = len(lengths)
     found = 0
     last_end = -1
     chunk_start = 0
@@ -134,12 +144,13 @@ def sample_busy_periods(
             np.greater(high[1 : m + 1], high[:m], out=new_level[:m])
             ends = np.flatnonzero(new_level[:m])[: n_periods - found]
             ends += chunk_start + lo
-            lengths[found] = ends[0] - last_end
-            np.subtract(ends[1:], ends[:-1], out=lengths[found + 1 : found + len(ends)])
+            lengths[found] += ends[0] - last_end
+            runs = lengths[found + 1 : found + len(ends)]
+            runs += ends[1:]
+            runs -= ends[:-1]
             last_end = int(ends[-1])
             found += len(ends)
         chunk_start += _CHUNK_SLOTS
-    return lengths
 
 
 def sample_idle_periods(
@@ -160,13 +171,14 @@ def sample_frames(
     """Draw frame lengths (independent idle run + busy run).
 
     Both probabilities are checked before anything is drawn, so a refused
-    call leaves ``rng`` where it was.
+    call leaves ``rng`` where it was. The busy runs are added into the
+    idle-run array, so no second per-frame array is made.
     """
     _check_count(n_frames, "n_frames")
     _check_idle(lambda_pu)
     _check_busy(lambda_pu, success_prob)
     frames = sample_idle_periods(lambda_pu, n_frames, rng)
-    frames += sample_busy_periods(lambda_pu, success_prob, n_frames, rng)
+    _add_busy_periods(frames, lambda_pu, success_prob, rng)
     return frames
 
 

@@ -91,8 +91,10 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
     """Best stationary mixing pair, in closed form.
 
     When the arrival-rate cap binds, the cheapest policy attaining it is
-    returned (lowest q, then lowest p). Raises RuntimeError if the built-in
-    grid refinement ever beats the closed form, which would mean a bug.
+    returned (lowest q, then lowest p). When nothing can be delivered
+    (p_avg = 0, lambda_su = 0 or mu_su(p_max) = 0), it is q = p = 0 with
+    upsilon 0. Raises RuntimeError if the built-in grid refinement ever beats
+    the closed form, which would mean a bug.
     """
     _require_two_point(params)
     lam = params.lambda_pu
@@ -168,8 +170,10 @@ def optimal_at_q(params: ModelParams, q: float) -> StationaryPolicy:
     """Best stationary pair with the cooperation probability fixed at ``q``.
 
     Closed form: the budget left after cooperation buys idle transmission,
-    up to p = 1 or the arrival rate. Raises ValueError when q is outside
-    [0, 1] or cooperation at q alone overspends the budget.
+    up to p = 1 or the arrival rate. With mu_su(p_max) = 0 idle transmission
+    delivers nothing, so p = 0 and only the cooperation power is spent.
+    Raises ValueError when q is outside [0, 1] or cooperation at q alone
+    overspends the budget.
     """
     _require_two_point(params)
     _check_q(q)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from coopsim import (
     sample_idle_periods,
     throughput_lower_bound,
 )
+from memtrace import traced_peak
 from spec import steady_state
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
@@ -225,6 +224,15 @@ def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
             want = whole_chunk_busy_periods(lam, mu, n, want_rng)
             assert got.dtype == want.dtype and np.array_equal(got, want), (lam, mu, n)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, (lam, mu, n)
+            if lam == 0.0:
+                continue        # no finite idle runs, so no frames
+            # frames: the idle runs, then the busy runs of the same stream
+            got_rng, want_rng = rng(n), rng(n)
+            got = sample_frames(lam, mu, n, got_rng)
+            want = sample_idle_periods(lam, n, want_rng)
+            want = want + whole_chunk_busy_periods(lam, mu, n, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want), ("frames", lam, mu, n)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, ("frames", lam, mu, n)
 
 
 @pytest.mark.parametrize("draw", [
@@ -274,20 +282,10 @@ def test_batch_mean_stderr_is_bit_equal_to_one_whole_copy(dtype):
             samples, n_batches)
     frames = sample_frames(0.5, 0.6, 200_000, rng(1))
     assert batch_mean_stderr(frames) == _whole_copy_batch_mean_stderr(frames, 50)
-    tracemalloc.start()
-    try:
-        batch_mean_stderr(frames)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * 2**20     # a whole float copy of the frames is 1.5 MiB
+    # a whole float copy of the frames is 1.5 MiB
+    assert traced_peak(batch_mean_stderr, frames) < 0.25 * 2**20
 
 
 def test_frame_sampler_memory_is_bounded():
-    tracemalloc.start()
-    try:
-        sample_frames(0.5, 0.6, 200_000, rng(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
+    # the returned 1.5 MiB of frames, busy runs added in, beside about 0.6 MiB of buffers
+    assert traced_peak(sample_frames, 0.5, 0.6, 200_000, rng(3)) < 2.5 * 2**20

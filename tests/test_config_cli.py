@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopsim import Scenario, config
+from coopsim import Scenario, cli, config
 from coopsim.cli import (
     FRAMES_CSV_COLUMNS,
     ORACLE_CSV_COLUMNS,
@@ -32,6 +32,7 @@ from coopsim.cli import (
 from coopsim.config import ConfigError, RunConfig
 from coopsim.engine import POLICY_KINDS, PolicySpec, RunMetrics, run_episode, sweep_v
 from coopsim.oracle import StationaryPolicy, optimal_two_point, simulate_stationary
+from memtrace import traced_peak
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -673,6 +674,31 @@ def test_frames_writer_int_and_float_columns_keep_their_own_text(tmp_path):
                 x_su_end=np.array([1.0, 0.0, 1.0, 0.0]))
     written = _frames_as_formatted(tmp_path, m)
     assert written.split(b"\r\n")[1:3] == [b"1,1,1,0,1.0,0.0,0,1.0", b"2,1,1,0,1.0,0.0,0,0.0"]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_frames_writer_chunks_keep_each_row_text(tmp_path, n):
+    # Rows are written 1,024 at a time. power_idle's one -0.0 lies in the last
+    # row, so past its 0.0 (row 1) once there are two chunks, and no memo may
+    # give it the 0.0 text; nans sit on both sides of each chunk boundary.
+    assert cli._ROWS_PER_WRITE == 1024
+    m = _crafted_metrics(n)
+    if n > 1:
+        m.power_idle[-1] = -0.0
+    m.x_su_end[[k for b in range(1024, n, 1024) for k in (b - 1, b)]] = np.nan
+    written = _frames_as_formatted(tmp_path, m)
+    lines = written.split(b"\r\n")
+    assert len(lines) == n + 2 and lines[-1] == b""
+    assert lines[1].split(b",")[4] == b"0.0"     # lines[0] holds the meta line and header
+    if n > 1:
+        assert lines[-2].split(b",")[4] == b"-0.0"
+
+
+def test_frames_writer_memory_does_not_grow_with_the_horizon(tmp_path):
+    # power_idle and x_su_end take a new value in every row; a writer holding
+    # every row's text at once peaks near 26 MiB here
+    m = _crafted_metrics(50_000)
+    assert traced_peak(write_frames_csv, tmp_path / "frames.csv", m) < 2 * 2**20
 
 
 def test_frames_writer_zero_frames_writes_the_header_only(tmp_path):

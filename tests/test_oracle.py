@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +14,7 @@ from coopsim import (
 )
 from coopsim import oracle
 from coopsim.montecarlo import arrival_counts
+from memtrace import traced_peak
 from spec import step_pu_queue, step_su_queue
 
 REF = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
@@ -70,6 +70,30 @@ def test_arrival_cap_binds_with_cheapest_policy():
     assert pol.coop_prob == 0.0              # no cooperation needed for 0.1
     assert pol.idle_tx_prob == pytest.approx(0.1 / (1 / 6))
     assert pol.power_used <= 0.5
+
+
+def test_arrival_cap_tie_keeps_the_cheapest_policy():
+    # lambda_su = 0.25 is exactly the rate of the budget-balancing point
+    # (q = 1/3, p = 1), the cheapest policy that attains it; the cap branch's
+    # formula reaches the same point only to rounding (q = 0.33333333333333315)
+    tie = replace(REF, lambda_su=0.25)
+    pi_cand = oracle._occupancy(tie, 1 / 3)[0]
+    assert tie.mu_su[tie.p_max] * pi_cand * 1.0 == tie.lambda_su
+    pol = optimal_two_point(tie)
+    assert (pol.coop_prob, pol.idle_tx_prob, pol.upsilon, pol.power_used) == (1 / 3, 1.0, 0.25, 0.5)
+    mu_needed = tie.lambda_pu / (1.0 - tie.lambda_su / tie.mu_su[tie.p_max])
+    assert pol.coop_prob == pytest.approx((mu_needed - tie.phi_nc) / (tie.phi_c - tie.phi_nc))
+
+
+def test_secondary_link_that_never_succeeds_spends_nothing_on_its_own_data():
+    # mu_su(p_max) = 0: no idle transmission delivers anything
+    dead = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5, mu_su_max=0.0)
+    pol = optimal_two_point(dead)
+    assert (pol.coop_prob, pol.idle_tx_prob, pol.upsilon, pol.power_used) == (0.0, 0.0, 0.0, 0.0)
+    for q in (0.0, 0.2, 1 / 3, 0.4):
+        at = optimal_at_q(dead, q)
+        assert (at.coop_prob, at.idle_tx_prob, at.upsilon) == (q, 0.0, 0.0)
+        assert at.power_used == (1.0 - at.pi_0) * q * dead.p_max     # cooperation power only
 
 
 def test_equal_success_probabilities_make_cooperation_worthless():
@@ -321,13 +345,7 @@ def test_chain_results_do_not_depend_on_block_size(monkeypatch, a_max):
 
 def test_chain_memory_does_not_grow_with_horizon():
     policy = optimal_two_point(REF)
-    tracemalloc.start()
-    try:
-        simulate_stationary(policy, REF, 2_000_000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(simulate_stationary, policy, REF, 2_000_000, seed=3) < 4 * 2**20
 
 
 def full_matrix_grid_search(params, step, q_fixed=None):
@@ -428,13 +446,7 @@ def test_grid_budget_edge_within_an_ulp(step, i, j):
 
 
 def test_grid_memory_does_not_grow_with_resolution():
-    tracemalloc.start()
-    try:
-        grid_search(REF, 1e-4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(grid_search, REF, 1e-4) < 4 * 2**20
 
 
 def test_closed_form_requires_two_point():
