@@ -183,10 +183,13 @@ class RunConfig:
     def build_params(self) -> ModelParams:
         p_max = self.get("p_max", 1.0)
         levels = self.get("power_levels", None)
-        if levels is not None:
-            power_set = PowerSet.make_grid(levels)
-        else:
-            power_set = PowerSet.make_two_point(p_max)
+        try:
+            if levels is not None:
+                power_set = PowerSet.make_grid(levels)
+            else:
+                power_set = PowerSet.make_two_point(p_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if power_set.p_max != p_max:
             raise ConfigError("power_levels must peak at p_max")
 

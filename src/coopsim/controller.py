@@ -30,14 +30,10 @@ float as the closed form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .model import ModelParams
-
-# largest power-vector count solve_p1_fading searches exhaustively
-_FADING_SIZE_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -175,12 +171,17 @@ def solve_p1_fading(
     """Pick one cooperation power per fade state.
 
     Minimizes (theta + x * E[P]) / E[phi_s(P_s)] over deterministic per-state
-    powers. Exhaustive when |power set| ** |states| is at most
-    ``_FADING_SIZE_CAP``; otherwise coordinate descent from the all-zero
-    vector. Ties resolve to the lexicographically smallest power vector,
-    extending the lower-power rule: each descent step moves its coordinate to
-    the lowest level that attains the coordinate's minimum, even where that
-    level only ties the current power.
+    powers by coordinate descent from the all-zero vector, which is exact:
+    numerator and denominator are sums of per-state terms, so at a vector
+    with ratio r that no single state can improve, each state's power
+    minimizes ``x * q_s * P - r * q_s * phi_s(P)``, and no vector has a ratio
+    below r (Dinkelbach, 1967). Ties resolve to the lexicographically smallest
+    power vector, extending the lower-power rule: each step moves its
+    coordinate to the lowest level that attains the coordinate's minimum,
+    even where that level only ties the current power, so the descent ends at
+    the componentwise-lowest optimal vector. phi is non-decreasing, so the
+    all-zero vector, evaluated first, has the smallest expected success; a
+    model whose success there is not positive raises ``ValueError``.
     """
     levels = params.power_set.levels
     n_states = len(fading.states)
@@ -192,14 +193,6 @@ def solve_p1_fading(
         if den <= 0.0:
             raise ValueError("expected success probability must be positive")
         return num / den
-
-    if len(levels) ** n_states <= _FADING_SIZE_CAP:
-        best_vec, best_val = None, None
-        for vec in itertools.product(levels, repeat=n_states):
-            val = objective(vec)
-            if best_val is None or val < best_val:
-                best_vec, best_val = vec, val
-        return {s.fade_id: p for s, p in zip(fading.states, best_vec)}
 
     vec = [0.0] * n_states
     current = objective(vec)

@@ -15,6 +15,7 @@ moves once per frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,9 +28,9 @@ class UnstableChainError(ValueError):
 class PowerSet:
     """Finite set of per-slot power levels available to the secondary user.
 
-    ``levels`` is strictly increasing, always contains 0, and tops out at the
-    peak power. ``two_point`` marks the common {0, p_max} special case, which
-    admits a closed-form cooperation rule.
+    ``levels`` is finite, strictly increasing, always contains 0, and tops
+    out at the peak power. ``two_point`` marks the common {0, p_max} special
+    case, which admits a closed-form cooperation rule.
     """
 
     levels: tuple[float, ...]
@@ -38,6 +39,8 @@ class PowerSet:
     def __post_init__(self) -> None:
         if len(self.levels) < 1:
             raise ValueError("power set must not be empty")
+        if not all(math.isfinite(p) for p in self.levels):
+            raise ValueError("power levels must be finite")
         if self.levels[0] != 0.0:
             raise ValueError("power set must contain 0")
         for lo, hi in zip(self.levels, self.levels[1:]):

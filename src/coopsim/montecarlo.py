@@ -17,7 +17,7 @@ frames peak near 2.1 MiB).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, exp, log, log1p
 
 import numpy as np
 
@@ -28,12 +28,32 @@ _CHUNK_SLOTS = 1 << 21
 _SUB_SLOTS = 1 << 14
 
 
+def _binomial_term(n: int, k: int, p: float) -> float:
+    """The Binomial(n, p) pmf at k; in log space where ``comb(n, k)`` exceeds a float.
+
+    From n = 1,030 the middle ``comb(n, k)`` no longer converts to float; only
+    those terms take the log-space route, so every table for n up to 1,029 is
+    the plain product's. Such a k lies strictly between 0 and n, so the term
+    is 0 at p = 0 and at p = 1.
+    """
+    c = comb(n, k)
+    try:
+        return c * p**k * (1.0 - p) ** (n - k)
+    except OverflowError:
+        if p == 0.0 or p == 1.0:
+            return 0.0
+        return exp(log(c) + k * log(p) + (n - k) * log1p(-p))
+
+
 def binomial_cdf(n: int, p: float) -> np.ndarray:
     """CDF table of Binomial(n, p), for inverse-transform sampling."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and p in [0, 1]")
-    pmf = [comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
-    cdf = np.cumsum(pmf)
+    cdf = np.cumsum([_binomial_term(n, k, p) for k in range(n + 1)])
+    # rounded terms can carry the partial sums past 1 before the last one; no
+    # uniform in [0, 1) tells such an entry from 1, and searchsorted needs the
+    # table nondecreasing
+    np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
     return cdf
 

@@ -289,3 +289,35 @@ def test_batch_mean_stderr_is_bit_equal_to_one_whole_copy(dtype):
 def test_frame_sampler_memory_is_bounded():
     # the returned 1.5 MiB of frames, busy runs added in, beside about 0.6 MiB of buffers
     assert traced_peak(sample_frames, 0.5, 0.6, 200_000, rng(3)) < 2.5 * 2**20
+
+
+def _plain_binomial_cdf(n, p):
+    """The table as the plain product builds it, wherever ``comb(n, k)`` is a float."""
+    from math import comb
+    cdf = np.cumsum([comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+    cdf[-1] = 1.0
+    return cdf
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1029])
+def test_binomial_cdf_keeps_the_plain_product_where_it_converts(n):
+    u = np.random.default_rng(n).random(100_000)
+    for mean in (0.0, 0.3, 0.5, 0.8, 1.0, n / 3, n / 2, n):
+        p = mean / n
+        plain = _plain_binomial_cdf(n, p)
+        cdf = montecarlo.binomial_cdf(n, p)
+        # bit for bit, except that partial sums rounded past 1 now read 1
+        assert np.array_equal(cdf, np.minimum(plain, 1.0))
+        assert np.array_equal(np.searchsorted(cdf, u, side="right"),
+                              np.searchsorted(plain, u, side="right"))
+
+
+@pytest.mark.parametrize("n", [1100, 2000])
+def test_binomial_cdf_beyond_float_binomials_keeps_its_mean(n):
+    # from n = 1,030 the middle binomial coefficients no longer convert to float
+    for mean in (0.0, 0.5, 0.8, n / 3, n / 2, n):
+        cdf = montecarlo.binomial_cdf(n, mean / n)
+        assert cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+        pmf = np.diff(cdf, prepend=0.0)
+        assert float(np.arange(n + 1) @ pmf) == pytest.approx(mean, rel=1e-9, abs=0.0)

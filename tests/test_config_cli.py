@@ -420,6 +420,51 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, argv, edit, re
     assert not (tmp_path / "out").exists()      # refused before anything is written
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# (keys set, keys dropped, a fragment of the refusal's reason)
+BAD_POWER = [
+    ({"p_max": "-1"}, (), "p_max must be positive"),
+    ({"power_levels": "0, 0.5, 0.5, 1"}, (), "power levels must be strictly increasing"),
+    ({"p_max": "inf"}, (), "power levels must be finite"),
+    ({"p_max": "nan"}, (), "power levels must be finite"),
+    ({"p_max": "inf", "power_levels": "0, 0.5, inf", "phi": "0:0.6, 0.5:0.7, inf:0.8",
+      "mu_su": "0:0, 0.5:0.5, inf:1"}, ("phi_nc", "phi_c", "mu_su_max"),
+     "power levels must be finite"),
+]
+
+
+def _with_keys(text, keys, dropped=()):
+    """``text`` with each line of ``keys`` or ``dropped`` removed, then ``keys`` appended."""
+    gone = {*keys, *dropped}
+    kept = [line for line in text.splitlines() if line.split("=", 1)[0].strip() not in gone]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+@pytest.mark.parametrize("conf", ["reference", "rate_switch"])
+@pytest.mark.parametrize("keys, dropped, reason", BAD_POWER,
+                         ids=["negative", "repeated", "inf", "nan", "inf_grid"])
+def test_cli_bad_power_sets_are_config_errors(tmp_path, capsys, conf, keys, dropped, reason):
+    # every subcommand refuses the power set as a config error, with nothing written
+    text = (CONFIGS / f"{conf}.conf").read_text()
+    keys = {**keys, "v_list": "10, 50", "out_dir": f"{tmp_path}/out"}
+    cfg = write_config(tmp_path, _with_keys(text, keys, dropped))
+    for command in ("run", "adaptive", "sweep", "oracle", "analyze", "baselines"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and reason in err, (command, err)
+        assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_takes_an_arrival_cap_beyond_float_binomials(tmp_path, capsys):
+    # Binomial(1100, .) has coefficients too large for a float
+    text = _with_keys(BASE, {"a_max": "1100", "out_dir": f"{tmp_path}/out"})
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--frames", "20"]) == 0
+    assert "frames=20 " in capsys.readouterr().out
+
+
 def test_cli_sweep_takes_v_from_v_list(tmp_path):
     # no template v needed, and the template v changes no byte of sweep.csv
     for name, text in (("with_v", BASE), ("no_v", BASE.replace("v = 500", ""))):

@@ -260,22 +260,6 @@ def test_fading_matches_exhaustive_search():
         assert out == {"deep": best_vec[0], "clear": best_vec[1]}
 
 
-def test_fading_size_cap_and_descent(monkeypatch):
-    import coopsim.controller as controller
-
-    monkeypatch.setattr(controller, "_FADING_SIZE_CAP", 100)   # 4^8 states: descent
-    g = rng(9)
-    par = random_params(g, n_levels=4)
-    states = tuple(
-        FadeState(f"s{i}", 0.125, dict(par.phi)) for i in range(8)
-    )
-    fading = FadingModel(states=states)
-    # identical states: descent must agree with the single-state answer
-    out = solve_p1_fading(3.0, 1.0, fading, par)
-    want = FrameRule(par).busy_power(3.0, 1.0)
-    assert all(v == want for v in out.values())
-
-
 # dyadic phi and probabilities keep every numerator and denominator exact, so
 # the optimum value 2 is met exactly at (0, 0.5), (0, 1), (1, 0.5) and (1, 1)
 _TIED_LEVELS = PowerSet.make_grid([0, 0.5, 1])
@@ -300,18 +284,64 @@ def test_fading_exhaustive_tie_takes_the_smallest_vector():
     ties = sorted(vec for vec, val in values.items() if val == min(values.values()))
     assert ties == [(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)]
     assert min(values.values()) == 2.0
-    assert solve_p1_fading(1.0, 0.5, _TIED, _TIED_PARAMS) == {"a": 0.0, "b": 0.5}
-
-
-def test_fading_descent_tie_keeps_the_lower_power(monkeypatch):
-    import coopsim.controller as controller
-
-    monkeypatch.setattr(controller, "_FADING_SIZE_CAP", 1)     # 3^2 vectors: descent
     # the first sweep raises a to 1, then meets b's tie of 0.5 and 1 and keeps
     # 0.5; the second finds a's power 0 tied with 1 at value 2 and lowers it
     assert _tied_objective((1.0, 0.5)) == _tied_objective((0.0, 0.5)) == 2.0
     assert _tied_objective((1.0, 0.0)) < _tied_objective((0.0, 0.0))
     assert solve_p1_fading(1.0, 0.5, _TIED, _TIED_PARAMS) == {"a": 0.0, "b": 0.5}
+
+
+def test_fading_eight_identical_states_share_the_scan_power():
+    g = rng(9)
+    par = random_params(g, n_levels=4)
+    states = tuple(
+        FadeState(f"s{i}", 0.125, dict(par.phi)) for i in range(8)
+    )
+    fading = FadingModel(states=states)
+    # 4^8 power vectors; identical states must agree with the single-state answer
+    out = solve_p1_fading(3.0, 1.0, fading, par)
+    want = FrameRule(par).busy_power(3.0, 1.0)
+    assert all(v == want for v in out.values())
+
+
+def _brute_force_min(theta, x, fading, levels):
+    """Smallest objective over every power vector, scored with numpy."""
+    num = np.zeros(1)
+    den = np.zeros(1)
+    for s in fading.states:
+        num = (num[:, None] + s.prob * np.asarray(levels)).ravel()
+        den = (den[:, None] + s.prob * np.array([s.phi[p] for p in levels])).ravel()
+    return float(np.min((theta + x * num) / den))
+
+
+def test_fading_descent_reaches_the_brute_force_minimum_on_nine_states():
+    # 4^9 = 262,144 vectors per model, distinct random states
+    g = rng(10)
+    for _ in range(30):
+        par = random_params(g, n_levels=4)
+        levels = par.power_set.levels
+        probs = g.dirichlet(np.ones(9))
+        fading = FadingModel(states=tuple(
+            FadeState(f"s{i}", float(q),
+                      {p: float(v) for p, v in zip(levels, np.sort(g.uniform(0.3, 1.0, 4)))})
+            for i, q in enumerate(probs)))
+        theta = float(g.uniform(0, 80))
+        x = float(g.uniform(0, 25))
+        out = solve_p1_fading(theta, x, fading, par)
+        num = theta + x * sum(s.prob * out[s.fade_id] for s in fading.states)
+        den = sum(s.prob * s.phi[out[s.fade_id]] for s in fading.states)
+        assert num / den == pytest.approx(_brute_force_min(theta, x, fading, levels),
+                                          rel=1e-12, abs=0.0)
+
+
+def test_fading_without_success_at_zero_power_is_refused():
+    # every phi(0) is 0, so the all-zero vector's expected success is 0
+    fading = FadingModel(states=(
+        FadeState("a", 0.5, {0.0: 0.0, 0.5: 0.5, 1.0: 0.75}),
+        FadeState("b", 0.5, {0.0: 0.0, 0.5: 0.25, 1.0: 1.0}),
+    ))
+    with pytest.raises(ValueError, match="expected success probability must be positive"):
+        solve_p1_fading(1.0, 0.5, fading, _TIED_PARAMS)
 
 
 def test_policy_queue_bound_and_frame_constancy():

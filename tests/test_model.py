@@ -110,6 +110,16 @@ def test_power_set_invariants():
         PowerSet(levels=(0.0, 0.5, 0.5))   # not strictly increasing
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PowerSet.make_two_point(float("inf")),
+    lambda: PowerSet.make_two_point(float("nan")),
+    lambda: PowerSet.make_grid([0.0, 0.5, float("inf")]),
+], ids=["inf", "nan", "inf_grid"])
+def test_power_set_refuses_non_finite_levels(build):
+    with pytest.raises(ValueError, match="power levels must be finite"):
+        build()
+
+
 def test_model_params_validation():
     good = ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5)
     assert good.phi_nc == 0.6 and good.phi_c == 0.8 and good.mu_max == 1.0
