@@ -284,6 +284,10 @@ def test_fading_exhaustive_tie_takes_the_smallest_vector():
     ties = sorted(vec for vec, val in values.items() if val == min(values.values()))
     assert ties == [(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)]
     assert min(values.values()) == 2.0
+    assert solve_p1_fading(1.0, 0.5, _TIED, _TIED_PARAMS) == {"a": 0.0, "b": 0.5}
+
+
+def test_fading_descent_tie_keeps_the_lower_power():
     # the first sweep raises a to 1, then meets b's tie of 0.5 and 1 and keeps
     # 0.5; the second finds a's power 0 tied with 1 at value 2 and lowers it
     assert _tied_objective((1.0, 0.5)) == _tied_objective((0.0, 0.5)) == 2.0
