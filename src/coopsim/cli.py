@@ -323,6 +323,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _baseline_line(metrics: RunMetrics) -> str:
+    return (
+        f"{metrics.policy_label:<14} {metrics.throughput_served:>9.4f} "
+        f"{metrics.throughput_admitted:>9.4f} {metrics.avg_power:>10.4f} "
+        f"{metrics.slots:>9d}"
+    )
+
+
 def cmd_baselines(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     scenario = cfg.build_scenario()
@@ -339,19 +347,17 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     specs.append(PolicySpec(kind="fbdpp", v=v))
     # every row runs on the same seed, so each block is drawn and prepared once
     source = BlockSource(params, scenario.seed)
-    rows = []
-    for spec in specs:
-        sc = replace(
-            scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()
-        )
-        rows.append(run_episode(sc, source))
+    # each row becomes its table line as its episode returns, so no finished
+    # row's per-frame records stay alive while the next row runs
+    lines = [
+        _baseline_line(run_episode(
+            replace(scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()),
+            source,
+        ))
+        for spec in specs
+    ]
     print(f"{'policy':<14} {'served':>9} {'admitted':>9} {'avg_power':>10} {'slots':>9}")
-    for metrics in rows:
-        print(
-            f"{metrics.policy_label:<14} {metrics.throughput_served:>9.4f} "
-            f"{metrics.throughput_admitted:>9.4f} {metrics.avg_power:>10.4f} "
-            f"{metrics.slots:>9d}"
-        )
+    print(*lines, sep="\n")
     if params.power_set.two_point:
         print(f"{'offline_opt':<14} {optimal_two_point(params).upsilon:>9.4f}")
     return 0

@@ -17,6 +17,7 @@ frames peak near 2.1 MiB).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, exp, log, log1p
 
 import numpy as np
@@ -45,8 +46,14 @@ def _binomial_term(n: int, k: int, p: float) -> float:
         return exp(log(c) + k * log(p) + (n - k) * log1p(-p))
 
 
+@lru_cache(maxsize=16)
 def binomial_cdf(n: int, p: float) -> np.ndarray:
-    """CDF table of Binomial(n, p), for inverse-transform sampling."""
+    """CDF table of Binomial(n, p), for inverse-transform sampling.
+
+    Each table is built once and remembered for its ``(n, p)``, since every
+    uniform block of an episode or chain maps through the same one; the
+    table returned is shared by all its callers, so it is read-only.
+    """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and p in [0, 1]")
     cdf = np.cumsum([_binomial_term(n, k, p) for k in range(n + 1)])
@@ -55,6 +62,7 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
     # table nondecreasing
     np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
+    cdf.flags.writeable = False
     return cdf
 
 

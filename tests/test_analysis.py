@@ -321,3 +321,13 @@ def test_binomial_cdf_beyond_float_binomials_keeps_its_mean(n):
         assert np.all(np.diff(cdf) >= 0.0)
         pmf = np.diff(cdf, prepend=0.0)
         assert float(np.arange(n + 1) @ pmf) == pytest.approx(mean, rel=1e-9, abs=0.0)
+
+
+def test_binomial_cdf_hands_out_one_read_only_table():
+    montecarlo.binomial_cdf.cache_clear()
+    table = montecarlo.binomial_cdf(3, 0.4)
+    # one table per (n, p), shared by every caller, so none may write into it
+    assert montecarlo.binomial_cdf(3, 0.4) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.5
+    assert montecarlo.binomial_cdf.cache_info().misses == 1

@@ -697,6 +697,55 @@ def test_baselines_draws_each_block_once_per_table(monkeypatch, capsys):
     assert blocks[0] == -(-max(slots) // 8192) < sum(-(-n // 8192) for n in slots)
 
 
+def test_baselines_keeps_no_finished_row_alive(monkeypatch, capsys):
+    # each row becomes its table line as its episode returns, so while a row
+    # runs no earlier row's per-frame records are alive; the collector is off,
+    # so only dropped references can free them
+    import weakref
+
+    import coopsim.cli as cli
+
+    rows, alive_at_call = [], []
+
+    def recorded(*args, **kwargs):
+        alive_at_call.append(sum(row() is not None for row in rows))
+        metrics = run_episode(*args, **kwargs)
+        rows.append(weakref.ref(metrics))
+        return metrics
+
+    monkeypatch.setattr(cli, "run_episode", recorded)
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference.conf"
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(["baselines", "--config", str(config), "--frames", "200"]) == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive_at_call == [0, 0, 0, 0]
+    assert [row() for row in rows] == [None] * 4
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_binomial_table_is_built_once_per_episode(monkeypatch):
+    import coopsim.montecarlo as montecarlo
+
+    blocks, terms = _count_blocks(monkeypatch), [0]
+
+    def counted(*args, _fn=montecarlo._binomial_term):
+        terms[0] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(montecarlo, "_binomial_term", counted)
+    montecarlo.binomial_cdf.cache_clear()
+    run_episode(Scenario(params=A_MAX_3, policy=PolicySpec(kind="no_coop"),
+                         horizon_frames=6000, seed=5))
+    # every block maps its arrivals through the one table of a_max + 1 terms
+    assert blocks[0] >= 3
+    assert terms[0] == A_MAX_3.a_max + 1
+    assert montecarlo.binomial_cdf.cache_info().misses == 1
+
+
 def test_virtual_backlog_checked_at_every_boundary(monkeypatch):
     import coopsim.engine as engine
 

@@ -120,6 +120,23 @@ def test_closed_form_refuses_a_grid_that_beats_it(monkeypatch):
         optimal_two_point(REF)
 
 
+def test_closed_form_check_reads_the_q_row_below_one():
+    # the optimum sits at q ~ 0.99993, between the 1e-4 grid's last two rows;
+    # q = 1 overspends, so the check's best row is q = 0.9999, which its grid
+    # must build and keep
+    near_one = ModelParams.two_point(0.5, 1.0, 0.6, 0.8, 0.99995625)
+    best = optimal_two_point(near_one)
+    assert best.coop_prob == pytest.approx(0.99993, abs=1e-6)
+    assert best.upsilon == pytest.approx(0.3749891, abs=1e-7)
+    assert oracle._best_on_q_grid(near_one, 1e-4) == pytest.approx(0.3749844, abs=1e-7)
+
+
+def test_grid_refuses_a_step_outside_its_range():
+    for step in (0.0, -1e-3, 0.2):
+        with pytest.raises(ValueError, match=r"step must lie in \(0, 0\.1\]"):
+            grid_search(REF, step)
+
+
 def test_grid_agrees_at_reference():
     pol = optimal_two_point(REF)
     # within one step of the closed form and never above it
@@ -341,6 +358,16 @@ def test_chain_results_do_not_depend_on_block_size(monkeypatch, a_max):
             monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
             results.append(simulate_stationary(policy, params, 200_003, seed=11))
         assert results == [results[0]] * 4, (params, results)
+
+
+def test_chain_builds_one_arrival_table_per_call():
+    from coopsim import montecarlo
+
+    montecarlo.binomial_cdf.cache_clear()
+    simulate_stationary(optimal_two_point(REF), replace(REF, a_max=3), 3 * (1 << 14), seed=2)
+    info = montecarlo.binomial_cdf.cache_info()
+    # one build for the first block, read back for the other two
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_chain_memory_does_not_grow_with_horizon():
