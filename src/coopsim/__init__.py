@@ -18,12 +18,12 @@ from .controller import (
     solve_p1_fading,
 )
 from .engine import (
-    BlockSource,
     PolicySpec,
     RunMetrics,
     Scenario,
     derive_seed,
     run_episode,
+    run_episodes,
     sweep_v,
 )
 from .model import (

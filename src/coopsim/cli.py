@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DriftConstants, busy_period_moments, drift_constants, throughput_lower_bound
+from .analysis import (
+    busy_period_moments, drift_constants, frame_length_bounds, throughput_lower_bound,
+)
 from .config import ConfigError, RunConfig
 from .engine import (
-    POLICY_KINDS, RNG_NAME, BlockSource, PolicySpec, RunMetrics, run_episode, sweep_v,
+    POLICY_KINDS, RNG_NAME, PolicySpec, RunMetrics, run_episode, run_episodes, sweep_v,
 )
-from .model import ModelParams
 from .oracle import (
     StationaryPolicy,
     grid_search,
@@ -289,18 +290,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drift_constants(params: ModelParams) -> DriftConstants:
-    """``drift_constants(params)``; a model it cannot bound (lambda_pu = 0) is a config error."""
-    try:
-        return drift_constants(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     params = cfg.build_params()
-    constants = _drift_constants(params)
+    try:
+        constants = drift_constants(params)
+    except ValueError as exc:   # a model it cannot bound (lambda_pu = 0)
+        raise ConfigError(str(exc)) from exc
     e_b, e_b2 = busy_period_moments(params.lambda_pu, params.phi_nc)
     print(f"t_min={constants.t_min!r}")
     print(f"t_max={constants.t_max!r}")
@@ -335,27 +331,22 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     scenario = cfg.build_scenario()
     params = scenario.params
-    constants = _drift_constants(params)
     # Enough frames that every row sees >= ~1e5 slots, unless the caller
-    # pinned the horizon explicitly.
+    # pinned the horizon explicitly; build_scenario has refused lambda_pu = 0,
+    # so the shortest mean frame is finite
     if args.frames is not None:
         baseline_frames = scenario.horizon_frames
     else:
-        baseline_frames = max(scenario.horizon_frames, int(120_000 / constants.t_min) + 1)
+        t_min = frame_length_bounds(params)[0]
+        baseline_frames = max(scenario.horizon_frames, int(120_000 / t_min) + 1)
     v = scenario.policy.v if scenario.policy.kind == "fbdpp" else cfg.get("v", 500.0)
     specs = [PolicySpec(kind=kind) for kind in POLICY_KINDS if kind != "fbdpp"]
     specs.append(PolicySpec(kind="fbdpp", v=v))
-    # every row runs on the same seed, so each block is drawn and prepared once
-    source = BlockSource(params, scenario.seed)
+    table = replace(scenario, horizon_frames=baseline_frames, lambda_schedule=())
     # each row becomes its table line as its episode returns, so no finished
-    # row's per-frame records stay alive while the next row runs
-    lines = [
-        _baseline_line(run_episode(
-            replace(scenario, policy=spec, horizon_frames=baseline_frames, lambda_schedule=()),
-            source,
-        ))
-        for spec in specs
-    ]
+    # row's per-frame records stay alive while the next row runs (a loop
+    # variable bound to a row would keep it until the next row returns)
+    lines = list(map(_baseline_line, run_episodes(table, specs)))
     print(f"{'policy':<14} {'served':>9} {'admitted':>9} {'avg_power':>10} {'slots':>9}")
     print(*lines, sep="\n")
     if params.power_set.two_point:

@@ -34,15 +34,17 @@ power level, and column 4, which an episode compares with its primary rate.
 For each block, and again at each rate switch, ``_walk`` joins that
 comparison with the success arrays into the primary's arrival bytes and one
 walk byte string per power level; success is read for nothing else. Byte
-strings index as ints. An episode reads its blocks from a
-block source. By default it draws a private one that keeps no block it has
-passed, so a long episode holds one block at a time. ``BlockSource`` keeps
-every prepared block it hands out, about 160 KiB per block on a two-point
-set, for other episodes on the same seed and params: ``baselines`` runs its
-four rows on one, so each block is drawn and prepared once per table (about
-5.3 MiB for the rows of ``configs/reference.conf`` at their default
-horizon). A sweep runs its episodes one after another in the calling
-process, each on its own seed. The best stationary randomized policy is
+strings index as ints. An episode draws its own blocks and keeps none it
+has passed, so a long episode holds one block at a time. ``run_episodes``
+runs one scenario under several policies, one row after another, on one
+draw of its seed: ``itertools.tee`` gives each row its own copy of the
+stream, so each block is drawn and prepared once, by the first row that
+reaches it, and kept, about 160 KiB per block on a two-point set, until
+every row has passed it (CPython's ``tee`` frees its items 57 at a time).
+``baselines`` runs its four rows so (about 5.3 MiB for the rows of
+``configs/reference.conf`` at their default horizon).
+A sweep runs its episodes one after another in the calling process, each
+on its own seed. The best stationary randomized policy is
 simulated by ``oracle.simulate_stationary``.
 
 Slot order: observe state, decide (power, admission), sample transmission
@@ -59,6 +61,7 @@ frame and gives the cyclic garbage collector none of its records to scan.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -267,46 +270,18 @@ def _draw_blocks(par: ModelParams, seed: int):
         yield _prepare(rng.random((_BLOCK, 5)), par)
 
 
-class BlockSource:
-    """The prepared blocks of one seed and params, for episodes that share them.
-
-    Each block is drawn and prepared once, by the first episode that reaches
-    it, and kept for the others, so episodes of any policy kind and horizon
-    read the blocks a private draw would give them. What is kept is what
-    ``_prepare`` returns, about 160 KiB per 8192-slot block on a two-point
-    set, not the raw block; a source holds every block any of its episodes
-    has reached until it is dropped.
-    """
-
-    def __init__(self, params: ModelParams, seed: int) -> None:
-        self.params = params
-        self.seed = seed
-        self._stream = _draw_blocks(params, seed)
-        self._kept: list[tuple] = []
-
-    def blocks(self):
-        """The prepared blocks in stream order, from the first."""
-        kept = self._kept
-        k = 0
-        while True:
-            if k == len(kept):
-                kept.append(next(self._stream))
-            yield kept[k]
-            k += 1
-
-
-def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMetrics:
+def run_episode(scenario: Scenario, *, _blocks=None) -> RunMetrics:
     """Simulate ``horizon_frames`` complete frames and collect metrics.
 
-    With no ``source`` the episode draws its own blocks and keeps none it
-    has passed; with one, it reads that source's blocks, which must be for
-    the scenario's seed and params (a ValueError otherwise). Either way the
-    metrics are the same. The admission cap is an int: ``floor(v)`` for
-    fbdpp, ``a_max * slot_cap`` (never reached) for the other kinds. Raises
-    RuntimeError if the scenario's ``slot_cap`` is reached before the
-    horizon completes, or if the backlog bound ``admit cap + a_max``, a
-    non-negative virtual backlog at every boundary, or the virtual-queue
-    identity ``total power - p_avg * slots <= x_su`` is ever violated.
+    The episode draws its own blocks; ``run_episodes`` passes each row a
+    copy of one draw of the same seed and params as ``_blocks`` instead,
+    which gives the same metrics. The admission cap is an int: ``floor(v)``
+    for fbdpp, ``a_max * slot_cap`` (never reached) for the other kinds.
+    Raises RuntimeError if the horizon's frame records cannot be allocated,
+    if the scenario's ``slot_cap`` is reached before the horizon completes,
+    or if the backlog bound ``admit cap + a_max``, a non-negative virtual
+    backlog at every boundary, or the virtual-queue identity
+    ``total power - p_avg * slots <= x_su`` is ever violated.
     """
     par = scenario.params
     spec = scenario.policy
@@ -318,12 +293,7 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     reserving, busy_gate = _GATES.get(spec.kind, (False, False))
     # bound per episode, so a hook patched on its class still runs
     begin_frame = None if gated else FrameDriftPenaltyPolicy(par).begin_frame
-    if source is None:
-        blocks = _draw_blocks(par, scenario.seed)
-    elif source.seed != scenario.seed or source.params != par:
-        raise ValueError("a block source serves only the seed and params it was built for")
-    else:
-        blocks = source.blocks()
+    blocks = _draw_blocks(par, scenario.seed) if _blocks is None else _blocks
     slot_cap = scenario.slot_cap
     v = spec.v if spec.kind == "fbdpp" else math.inf
     admit_cap = math.floor(min(v, par.a_max * slot_cap))
@@ -334,7 +304,12 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
     next_switch, next_lam = next(switches, (0, lam_pu))
 
     # one _FRAME_ROW per frame: a returned episode has exactly `horizon` of them
-    rows = bytearray(_FRAME_ROW.size * horizon)
+    buffer_bytes = _FRAME_ROW.size * horizon
+    try:
+        rows = bytearray(buffer_bytes)
+    except (MemoryError, OverflowError):    # OverflowError: above the largest index
+        raise RuntimeError("a horizon of %d frames needs %d bytes of frame records, more "
+                           "than can be allocated" % (horizon, buffer_bytes)) from None
     pack_row, row_size = _FRAME_ROW.pack_into, _FRAME_ROW.size
     q_pu = q_su = frame_start = max_q = frames = 0
     f_idle = f_adm = f_srv = f_qsum = 0     # running sums of the open frame
@@ -472,6 +447,19 @@ def run_episode(scenario: Scenario, source: BlockSource | None = None) -> RunMet
             "virtual-queue identity violated: power excess %g > x_su=%g" % (excess, x_su)
         )
     return metrics
+
+
+def run_episodes(scenario: Scenario, policies: list[PolicySpec]):
+    """``run_episode`` of ``scenario`` under each policy in turn, yielding each row as it returns.
+
+    The rows read copies of one draw of the scenario's blocks, so each block
+    is drawn and prepared once; a row runs only when the next one is asked
+    for, so a caller that drops each row before asking for the next keeps one
+    row's frame records at a time.
+    """
+    copies = itertools.tee(_draw_blocks(scenario.params, scenario.seed), len(policies))
+    for policy, blocks in zip(policies, copies):
+        yield run_episode(replace(scenario, policy=policy), _blocks=blocks)
 
 
 def derive_seed(base_seed: int, index: int) -> int:

@@ -343,6 +343,33 @@ def test_cli_truncated_episode_exits_2(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "out").exists()     # no CSV from a cut-short run
 
 
+@pytest.mark.parametrize("frames, out_of_memory", [(10**18, False), (10**11, True)],
+                         ids=["above_the_largest_index", "out_of_memory"])
+def test_cli_horizon_too_large_to_hold_exits_2(tmp_path, capsys, monkeypatch, frames,
+                                               out_of_memory):
+    # 10**18 frames of 72 bytes are refused before anything is allocated. The
+    # 10**11-frame buffer is only refused by a stand-in allocator: under memory
+    # overcommit a real request could succeed, and the episode would run on
+    import coopsim.engine as engine
+
+    requested = []
+
+    def refused(size):
+        requested.append(size)
+        raise MemoryError
+
+    if out_of_memory:
+        monkeypatch.setattr(engine, "bytearray", refused, raising=False)
+    cfg = write_config(tmp_path, BASE + f"\nout_dir = {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg), "--frames", str(frames)]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"error: a horizon of {frames} frames needs {72 * frames} bytes of frame "
+                   "records, more than can be allocated\n")
+    assert requested == ([72 * frames] if out_of_memory else [])
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_adaptive(tmp_path, capsys):
     text = (
         BASE.replace("lambda_pu = 0.5", "lambda_pu = 0.4")
@@ -592,7 +619,7 @@ def test_readme_names_resolve():
     names = [token.removeprefix("coopsim.") for token in
              re.findall(r"`([\w.]+)`", README.read_text()) if not token.endswith(".csv")]
     dotted = [name for name in names if name.split(".")[0] in modules and "." in name]
-    assert {"controller.FrameRule", "engine.BlockSource",
+    assert {"controller.FrameRule", "engine.run_episodes",
             "oracle.simulate_stationary"} <= set(dotted)
     missing = []
     for name in dotted:

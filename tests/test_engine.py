@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopsim import (
-    BlockSource,
     FrameDriftPenaltyPolicy,
     ModelParams,
     PolicySpec,
@@ -19,6 +18,7 @@ from coopsim import (
     arrival_counts,
     derive_seed,
     run_episode,
+    run_episodes,
     sweep_v,
     update_virtual_queue,
 )
@@ -631,10 +631,10 @@ def test_kernel_matches_one_slot_spec_on_random_small_scenarios(sc):
     _assert_same_metrics(run_episode(sc), _reference_episode(sc))
 
 
-def _outcome(scenario, source=None):
+def _outcome(scenario):
     """``run_episode``'s metrics, or the text of the RuntimeError it raised."""
     try:
-        return run_episode(scenario, source)
+        return run_episode(scenario)
     except RuntimeError as exc:
         return str(exc)
 
@@ -642,48 +642,62 @@ def _outcome(scenario, source=None):
 @pytest.mark.parametrize("case", ["steady", "switch", "cap"])
 @pytest.mark.parametrize("params", [REF, GRID], ids=["two_point", "grid"])
 def test_table_on_one_shared_source_equals_separate_episodes(monkeypatch, params, case):
-    # the rows read one source in turn, each from the first block, as cmd_baselines runs them
+    # run_episodes' rows read copies of one draw in turn, each from the first
+    # block, as cmd_baselines runs them
     schedule = ((700, 0.3),) if case == "switch" else ()
     if case == "cap":       # inside the second block: some rows stop there, some complete
         monkeypatch.setattr(Scenario, "slot_cap", property(lambda self: 15_000))
-    rows = [Scenario(params=params, policy=spec, horizon_frames=2000, seed=5,
-                     lambda_schedule=schedule) for spec in KINDS]
+    scenario = Scenario(params=params, policy=FBDPP, horizon_frames=2000, seed=5,
+                        lambda_schedule=schedule)
     blocks = _count_blocks(monkeypatch)
-    separate = []
-    for sc in rows:
+    separate = {}
+    for spec in KINDS:
         blocks[0] = 0
-        separate.append((_outcome(sc), blocks[0]))
+        separate[spec] = (_outcome(replace(scenario, policy=spec)), blocks[0])
+    stopped = [spec for spec in KINDS if isinstance(separate[spec][0], str)]
+    assert bool(stopped) == (case == "cap")
+    assert len(stopped) < len(KINDS)
+    # a stopped row ends the table, so the rows that complete run first
+    specs = [spec for spec in KINDS if spec not in stopped] + stopped
     blocks[0] = 0
-    source = BlockSource(params, 5)
-    shared = [_outcome(sc, source) for sc in rows]
-    # each block is turned into outcomes once per table, not once per row
-    assert blocks[0] == max(n for _, n in separate) >= 2
-    for got, (want, _) in zip(shared, separate):
-        if isinstance(want, str):
-            assert got == want
-            continue
+    table = run_episodes(scenario, specs)
+    for spec in specs[:len(KINDS) - len(stopped)]:
+        got, want = next(table), separate[spec][0]
+        assert got.policy_label == spec.label()
         for name in FRAME_FIELDS:
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.max_q_su == want.max_q_su
         if case == "switch":    # the switch lands inside a block an earlier row prepared
             assert want.frame_len[:700].sum() % 8192 != 0
-    stopped = [isinstance(want, str) for want, _ in separate]
-    assert any(stopped) == (case == "cap")
-    assert not all(stopped)
+    ran = specs
+    if stopped:
+        with pytest.raises(RuntimeError) as exc:
+            next(table)
+        assert str(exc.value) == separate[stopped[0]][0]
+        ran = specs[:specs.index(stopped[0]) + 1]
+    # each block is turned into outcomes once per table, not once per row
+    assert blocks[0] == max(separate[spec][1] for spec in ran) >= 2
 
 
-def test_run_episode_refuses_a_source_for_another_seed_or_params(monkeypatch):
-    sc = Scenario(params=REF, policy=FBDPP, horizon_frames=20, seed=3)
-    blocks = _count_blocks(monkeypatch)
-    for source in (BlockSource(REF, 4), BlockSource(GRID, 3),
-                   BlockSource(replace(REF, lambda_su=0.4), 3)):
-        with pytest.raises(ValueError, match="a block source serves only the seed and params"):
-            run_episode(sc, source)
-    assert blocks[0] == 0       # refused before a block is drawn
-    # equal params built apart are the same params
-    twin = BlockSource(ModelParams.two_point(0.5, 0.5, 0.6, 0.8, 0.5), 3)
-    _assert_same_metrics(run_episode(sc, twin), _reference_episode(sc))
+def test_run_episodes_runs_each_row_when_it_is_asked_for(monkeypatch):
+    # a caller can finish with one row before the next one runs
+    import coopsim.engine as engine
+
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_episode", counted)
+    scenario = Scenario(params=REF, policy=FBDPP, horizon_frames=300, seed=6)
+    table = run_episodes(scenario, list(KINDS))
+    assert calls[0] == 0
+    for k, spec in enumerate(KINDS, 1):
+        _assert_same_metrics(next(table), _reference_episode(replace(scenario, policy=spec)))
+        assert calls[0] == k
+    assert next(table, None) is None and calls[0] == len(KINDS)
 
 
 def test_baselines_draws_each_block_once_per_table(monkeypatch, capsys):
@@ -704,6 +718,7 @@ def test_baselines_keeps_no_finished_row_alive(monkeypatch, capsys):
     import weakref
 
     import coopsim.cli as cli
+    import coopsim.engine as engine
 
     rows, alive_at_call = [], []
 
@@ -713,7 +728,7 @@ def test_baselines_keeps_no_finished_row_alive(monkeypatch, capsys):
         rows.append(weakref.ref(metrics))
         return metrics
 
-    monkeypatch.setattr(cli, "run_episode", recorded)
+    monkeypatch.setattr(engine, "run_episode", recorded)
     config = Path(__file__).resolve().parents[1] / "configs" / "reference.conf"
     was_enabled = gc.isenabled()
     gc.disable()
@@ -788,14 +803,14 @@ def test_traced_names_stay_where_the_per_layer_tracer_patches_them(monkeypatch):
         assert boundaries[0] == m.frames == 50
 
     # the per-kind episode spans read the policy kind off the scenario that
-    # cli.run_episode gets first: baselines makes one such call per row
+    # engine.run_episode gets first: baselines makes one such call per row
     scenarios = []
 
     def recorded(*args, **kwargs):
         scenarios.append(args[0])
         return run_episode(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_episode", recorded)
+    monkeypatch.setattr(engine, "run_episode", recorded)
     config = Path(__file__).resolve().parents[1] / "configs" / "reference.conf"
     assert cli.main(["baselines", "--config", str(config), "--frames", "20"]) == 0
     assert all(isinstance(sc, Scenario) for sc in scenarios)
