@@ -305,8 +305,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"d={constants.d_const!r}")
     print(f"b={constants.b_const!r}")
     print(f"c={constants.c_const!r}")
+    # --v-list, then --v, then the file's v_list, then its v
     v = cfg.get("v", None)
-    v_values = cfg.get("v_list", [] if v is None else [v])
+    use_v = args.v is not None and args.v_list is None
+    v_values = [v] if use_v else cfg.get("v_list", [] if v is None else [v])
     if v_values:
         if params.power_set.two_point:
             upsilon = optimal_two_point(params).upsilon
@@ -342,6 +344,11 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     v = scenario.policy.v if scenario.policy.kind == "fbdpp" else cfg.get("v", 500.0)
     specs = [PolicySpec(kind=kind) for kind in POLICY_KINDS if kind != "fbdpp"]
     specs.append(PolicySpec(kind="fbdpp", v=v))
+    # offline_opt is the optimum at the base rate, so every row runs there
+    if scenario.lambda_schedule:
+        schedule = ", ".join(f"{frame}:{lam:g}" for frame, lam in scenario.lambda_schedule)
+        print(f"baselines ignores lambda_schedule = {schedule}; every row runs at "
+              f"lambda_pu = {params.lambda_pu:g}", file=sys.stderr)
     table = replace(scenario, horizon_frames=baseline_frames, lambda_schedule=())
     # each row becomes its table line as its episode returns, so no finished
     # row's per-frame records stay alive while the next row runs (a loop

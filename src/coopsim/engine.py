@@ -213,20 +213,14 @@ class RunMetrics:
     def moving_average(self, series: str, window: int) -> np.ndarray:
         """Per-slot rate of ``series`` over a trailing ``window`` of frames.
 
-        Series: ``coop_power``, ``idle_power``, ``throughput_admitted``,
-        ``throughput_served``. Early frames use the available prefix.
+        The one series is ``coop_power``. Early frames use the available
+        prefix.
         """
-        arrays = {
-            "coop_power": self.power_coop,
-            "idle_power": self.power_idle,
-            "throughput_admitted": self.admitted,
-            "throughput_served": self.served,
-        }
-        if series not in arrays:
+        if series != "coop_power":
             raise ValueError(f"unknown series {series!r}")
         if window < 1:
             raise ValueError("window must be at least 1")
-        num = np.concatenate([[0.0], np.cumsum(arrays[series], dtype=float)])
+        num = np.concatenate([[0.0], np.cumsum(self.power_coop, dtype=float)])
         den = np.concatenate([[0.0], np.cumsum(self.frame_len, dtype=float)])
         k = np.arange(1, self.frames + 1)
         lo = np.maximum(0, k - window)

@@ -212,12 +212,16 @@ def whole_chunk_busy_periods(lambda_pu, success_prob, n_periods, g):
     (256, 512, (0, 1, 7, 40, 300)),
     (montecarlo._CHUNK_SLOTS, montecarlo._SUB_SLOTS, (0, 1, 300_000)),
     (256, 16, (0, 1, 7, 40, 300)),
+    # 2^15-slot sub-blocks scan in int32
+    (1 << 16, 1 << 15, (0, 1, 7, 40, 40_000)),
 ])
 def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
     monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", chunk)
     monkeypatch.setattr(montecarlo, "_SUB_SLOTS", sub)
-    # near-critical (0.59, 0.6): many sub-blocks reach no new level
-    for lam, mu in ((0.5, 0.6), (0.5, 0.8), (0.0, 0.4), (0.3, 1.0), (0.59, 0.6)):
+    # near-critical (0.59, 0.6): many sub-blocks reach no new level; (0.0,
+    # 1.0) walks straight up, so past 2^15 periods a 2^15-slot sub-block's
+    # walk ends at 2^15, beyond int16
+    for lam, mu in ((0.5, 0.6), (0.5, 0.8), (0.0, 0.4), (0.3, 1.0), (0.59, 0.6), (0.0, 1.0)):
         for n in sizes:
             got_rng, want_rng = rng(n), rng(n)
             got = sample_busy_periods(lam, mu, n, got_rng)
@@ -233,6 +237,29 @@ def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
             want = want + whole_chunk_busy_periods(lam, mu, n, want_rng)
             assert got.dtype == want.dtype and np.array_equal(got, want), ("frames", lam, mu, n)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, ("frames", lam, mu, n)
+
+
+@pytest.mark.parametrize("dtype, size", [(np.int16, 1 << 14), (np.int32, 1 << 15)])
+def test_log_scan_matches_numpy_accumulates(dtype, size):
+    # one scan object, as in the sampler, over lengths whose pass counts are
+    # even and odd; all-up and all-down walks reach +-size
+    scan = montecarlo._LogScan(size, dtype)
+    g = rng(23)
+    cases = [np.ones(size), -np.ones(size)]
+    for m in (1, 2, 5, 100, size // 2 + 1, size - 1, size, 3):
+        cases.append(g.integers(-1, 2, m))
+        cases.append(np.where(g.random(m) < 0.7, 1, -1))
+    for steps in cases:
+        m = len(steps)
+        want = np.cumsum(steps, dtype=np.int64)
+        for gap in {0, m - 1, int(g.integers(0, m))}:
+            scan.values(m)[...] = steps
+            walk = scan(np.add, m)
+            assert walk.dtype == dtype and np.array_equal(walk, want), (m, gap)
+            # the running maximum seeded with gap, as the sampler seeds it
+            walk[0] = max(walk[0], gap)
+            high = scan(np.maximum, m)
+            assert np.array_equal(high, np.maximum.accumulate(np.maximum(want, gap))), (m, gap)
 
 
 @pytest.mark.parametrize("draw", [

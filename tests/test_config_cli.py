@@ -302,6 +302,18 @@ def test_cli_analyze_equal_probs(tmp_path, capsys):
     assert t_min.split("=")[1] == t_max.split("=")[1]
 
 
+@pytest.mark.parametrize("flags, want", [
+    ([], ["v=10", "v=50"]),                                   # the file's v_list over its v
+    (["--v", "0.5"], ["v=0.5"]),                              # --v over the file's v_list
+    (["--v", "0.5", "--v-list", "3, 4"], ["v=3", "v=4"]),     # --v-list over both
+])
+def test_cli_analyze_v_precedence(tmp_path, capsys, flags, want):
+    cfg = write_config(tmp_path, BASE + "v_list = 10, 50\n")
+    assert main(["analyze", "--config", str(cfg), *flags]) == 0
+    out = capsys.readouterr().out
+    assert [l.split()[0] for l in out.splitlines() if "throughput_lower_bound=" in l] == want
+
+
 def test_cli_baselines_table(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     # small pinned horizon keeps this a smoke test; values are loose
@@ -315,6 +327,21 @@ def test_cli_baselines_table(tmp_path, capsys):
     assert float(table["counter"][0]) == pytest.approx(0.137, abs=0.03)
     assert "fbdpp(v=500)" in table and "offline_opt" in table
     assert float(table["offline_opt"][0]) == pytest.approx(0.25)
+
+
+def test_cli_baselines_names_the_schedule_it_ignores(tmp_path, capsys):
+    # the rows run at the base rate, where offline_opt is the optimum; stdout
+    # is the table of the same config without the schedule
+    plain = write_config(tmp_path, BASE, "plain.conf")
+    assert main(["baselines", "--config", str(plain), "--frames", "300"]) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    switched = write_config(tmp_path, BASE + "lambda_schedule = 100:0.2, 200:0.55\n")
+    assert main(["baselines", "--config", str(switched), "--frames", "300"]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err == ("baselines ignores lambda_schedule = 100:0.2, 200:0.55; "
+                       "every row runs at lambda_pu = 0.5\n")
 
 
 def test_cli_baselines_equal_horizons(tmp_path, capsys):

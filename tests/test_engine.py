@@ -164,8 +164,9 @@ def test_moving_average_prefix_and_window():
     lo = k - 99
     expect = m.power_coop[lo : k + 1].sum() / m.frame_len[lo : k + 1].sum()
     assert ma[k] == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        m.moving_average("nope", 100)
+    for series in ("nope", "idle_power"):    # coop_power is the one series
+        with pytest.raises(ValueError, match="unknown series"):
+            m.moving_average(series, 100)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="window"):
             m.moving_average("coop_power", window=bad)
