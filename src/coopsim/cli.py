@@ -122,8 +122,7 @@ def write_frames_csv(path: Path, metrics: RunMetrics) -> None:
     column's memo keeps at most ``_MEMO_TEXTS`` texts, so the writer's memory
     does not grow with the horizon.
     """
-    columns = (metrics.frame_len, metrics.admitted, metrics.served, metrics.power_idle,
-               metrics.power_coop, metrics.q_su_end, metrics.x_su_end)
+    columns = [getattr(metrics, name) for name in FRAMES_CSV_COLUMNS[1:]]
     # Frames repeat few values in each column but the frame index, so each
     # such column formats its values through one memo of its own for the file.
     memos = [_ReprMemo(not np.signbit(column).any()).__getitem__ for column in columns]
@@ -231,7 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     metrics = _episode(cfg)
-    coop_ma = metrics.moving_average("coop_power", cfg.get("window", 100))
+    coop_ma = metrics.moving_average(cfg.get("window", 100))
     for k in sorted({k for k in (100, 300, 500, 700, 900, metrics.frames) if k <= metrics.frames}):
         print(f"frame={k} coop_power_ma={coop_ma[k - 1]:.6f}")
     return 0

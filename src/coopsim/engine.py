@@ -210,14 +210,11 @@ class RunMetrics:
     def avg_q_su(self) -> float:
         return self._per_slot(self.q_sum.sum())
 
-    def moving_average(self, series: str, window: int) -> np.ndarray:
-        """Per-slot rate of ``series`` over a trailing ``window`` of frames.
+    def moving_average(self, window: int) -> np.ndarray:
+        """Per-slot cooperation power over a trailing ``window`` of frames.
 
-        The one series is ``coop_power``. Early frames use the available
-        prefix.
+        Early frames use the available prefix.
         """
-        if series != "coop_power":
-            raise ValueError(f"unknown series {series!r}")
         if window < 1:
             raise ValueError("window must be at least 1")
         num = np.concatenate([[0.0], np.cumsum(self.power_coop, dtype=float)])

@@ -13,9 +13,12 @@ allocated once per call: about 0.6 MiB beside the returned lengths, at any
 sample count. A sub-block's walk and its running maximum are log-step
 scans, 14 vectorized passes each over 16,384 slots, instead of numpy's
 cumulative sum and maximum, which run one slot after another; their two
-zero-padded int16 buffers take 96 KiB of the 0.6 MiB. ``sample_frames``
-adds each busy run into the idle-run array it returns, so it holds 8 bytes
-per frame plus those buffers (200,000 frames peak near 2.1 MiB).
+zero-padded int16 buffers take 96 KiB of the 0.6 MiB. Sub-blocks are whole
+and a power of four slots long, from 16 to 2^14, so each scan has an even
+pass count and int16 holds its values; any other shape is refused before
+anything is drawn. ``sample_frames`` adds each busy run into the idle-run
+array it returns, so it holds 8 bytes per frame plus those buffers (200,000
+frames peak near 2.1 MiB).
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 # slots of walk per chunk of sample_busy_periods; part of the uniform stream
 _CHUNK_SLOTS = 1 << 21
 # uniforms drawn, and walk slots run, per numpy pass within a chunk; not part
-# of the stream, and small enough that a sub-block's buffers stay in cache
+# of the stream, and small enough that a sub-block's buffers stay in cache. A
+# power of four from 16 to 2^14 that divides _CHUNK_SLOTS: whole sub-blocks,
+# whole bytes of success bits, an even scan pass count, values within int16
 _SUB_SLOTS = 1 << 14
 
 
@@ -85,6 +90,10 @@ def _check_count(n: int, name: str) -> None:
 def _check_busy(lambda_pu: float, success_prob: float) -> None:
     if not 0.0 <= lambda_pu < success_prob <= 1.0:
         raise ValueError("need 0 <= lambda_pu < success_prob <= 1")
+    if _SUB_SLOTS not in (1 << 4, 1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14) or (
+            _CHUNK_SLOTS % _SUB_SLOTS or _CHUNK_SLOTS < _SUB_SLOTS):
+        raise ValueError(f"cannot scan sub-blocks of {_SUB_SLOTS} slots "
+                         f"in chunks of {_CHUNK_SLOTS}")
 
 
 def _check_idle(lambda_pu: float) -> None:
@@ -107,40 +116,30 @@ def sample_busy_periods(
 
 
 class _LogScan:
-    """Inclusive scans of up to ``size`` values in log2 passes over two buffers.
+    """Inclusive int16 scans of ``size`` values, a power of four, in place.
 
-    Pass k = 1, 2, 4, ... sets ``b[i] = op(a[i], a[i - k])`` over the span
-    and swaps the buffers (Hillis & Steele, "Data parallel algorithms", CACM
-    1986). Each buffer holds zeros in front of its span, as many as the
-    largest shift, so a scan is exact where zero is ``op``'s identity on the
-    values scanned. A scan reads the values the last one wrote, so scans
-    chain; the views of each pass are made once per span length and start.
+    Pass k = 1, 2, 4, ... sets ``b[i] = op(a[i], a[i - k])`` and swaps the
+    two buffers (Hillis & Steele, "Data parallel algorithms", CACM 1986).
+    Each buffer holds ``size // 2`` zeros in front, as many as the largest
+    shift, so a scan is exact where zero is ``op``'s identity on the values
+    scanned. The pass count, log2(size), is even, so every scan reads and
+    leaves its values in ``values``, and scans chain.
     """
 
-    def __init__(self, size: int, dtype: type) -> None:
-        self._pad = (1 << (size - 1).bit_length()) >> 1
-        self._bufs = [np.zeros(self._pad + size, dtype=dtype) for _ in range(2)]
-        self._at = 0        # the buffer holding the values the next scan reads
-        self._plans: dict[tuple[int, int], list] = {}
+    def __init__(self, size: int) -> None:
+        pad = size // 2
+        a, b = np.zeros((2, pad + size), np.int16)
+        self.values = a[pad:]
+        self._passes = []
+        for k in (1 << j for j in range(size.bit_length() - 1)):
+            self._passes.append((a[pad:], a[pad - k : pad + size - k], b[pad:]))
+            a, b = b, a
 
-    def values(self, m: int) -> np.ndarray:
-        """The ``m`` values the next scan reads: the last scan's result."""
-        return self._bufs[self._at][self._pad : self._pad + m]
-
-    def __call__(self, op: np.ufunc, m: int) -> np.ndarray:
-        """Scan ``values(m)`` under ``op`` and return the result, ``values(m)``."""
-        passes = self._plans.get((m, self._at))
-        if passes is None:
-            pad = self._pad
-            a, b = self._bufs[self._at], self._bufs[1 - self._at]
-            passes = self._plans[m, self._at] = []
-            for k in (1 << j for j in range((m - 1).bit_length())):
-                passes.append((a[pad : pad + m], a[pad - k : pad + m - k], b[pad : pad + m]))
-                a, b = b, a
-        for a, a_shifted, b in passes:
+    def __call__(self, op: np.ufunc) -> np.ndarray:
+        """Scan ``values`` under ``op``; returns ``values``, which now hold the result."""
+        for a, a_shifted, b in self._passes:
             op(a, a_shifted, out=b)
-        self._at ^= len(passes) % 2
-        return self.values(m)
+        return self.values
 
 
 def _add_busy_periods(
@@ -154,13 +153,13 @@ def _add_busy_periods(
 
     The uniform stream is a sequence of whole chunks of ``_CHUNK_SLOTS``
     slots: all of a chunk's success uniforms, then all of its arrival
-    uniforms. They are drawn ``_SUB_SLOTS`` at a time into one reused
-    buffer; the successes are kept as packed bits, and the walk runs one
-    arrival sub-block at a time, relative to the walk's value before it,
-    until ``n_periods`` ends are found. The rest of the chunk is still
-    drawn, so the generator ends where a whole-chunk draw leaves it. The
-    walk and its running maximum are log-step scans (``_LogScan``) over two
-    int16 buffers, int32 once a sub-block reaches 2^15 slots. Every pass
+    uniforms. They are drawn in whole sub-blocks of ``_SUB_SLOTS`` slots
+    into one reused buffer; the successes are kept as packed bits, and the
+    walk runs one arrival sub-block at a time, relative to the walk's value
+    before it, until ``n_periods`` ends are found. The rest of the chunk is
+    still drawn, so the generator ends where a whole-chunk draw leaves it.
+    The walk and its running maximum are int16 log-step scans
+    (``_LogScan``), exact since every value lies in [-sub, sub]. Every pass
     writes into buffers allocated once per call; memory is about 0.6 MiB
     beside ``lengths``, however long the walk.
     """
@@ -169,51 +168,48 @@ def _add_busy_periods(
     last_end = -1
     chunk_start = 0
     walk_carry = 0
-    sub = min(_SUB_SLOTS, _CHUNK_SLOTS)
-    blocks = [(lo, min(lo + sub, _CHUNK_SLOTS)) for lo in range(0, _CHUNK_SLOTS, sub)]
+    sub = _SUB_SLOTS
+    n_subs = _CHUNK_SLOTS // sub
     # one row of packed success bits, and one success count, per sub-block
-    dep_bits = np.empty((len(blocks), (sub + 7) // 8), dtype=np.uint8)
-    successes = [0] * len(blocks)
+    dep_bits = np.empty((n_subs, sub // 8), dtype=np.uint8)
+    successes = [0] * n_subs
     u = np.empty(sub)
     hit = np.empty(sub, dtype=bool)
     new_level = np.empty(sub, dtype=bool)
-    # every value a sub-block's scans make lies in [-sub, sub]
-    scan = _LogScan(sub, np.int16 if sub < 1 << 15 else np.int32)
+    scan = _LogScan(sub)
     while found < n_periods:
-        for k, (lo, hi) in enumerate(blocks):
-            m = hi - lo
-            np.less(rng.random(out=u[:m]), success_prob, out=hit[:m])
-            successes[k] = np.count_nonzero(hit[:m])
-            dep_bits[k, : (m + 7) // 8] = np.packbits(hit[:m])
-        for k, (lo, hi) in enumerate(blocks):
-            m = hi - lo
-            rng.random(out=u[:m])
+        for k in range(n_subs):
+            np.less(rng.random(out=u), success_prob, out=hit)
+            successes[k] = np.count_nonzero(hit)
+            dep_bits[k] = np.packbits(hit)
+        for k in range(n_subs):
+            rng.random(out=u)
             if found == n_periods:
                 continue
-            arrivals = np.less(u[:m], lambda_pu, out=hit[:m])
+            arrivals = np.less(u, lambda_pu, out=hit)
             # The walk's running maximum so far is `found`, `gap` above the
             # walk's value. Relative to that value, the running maximum
             # seeded with `gap` rises by one exactly where the walk first
-            # reaches a new level. A sub-block rises by at most m, so with
-            # gap >= m it reaches none; otherwise 0 <= gap < m.
+            # reaches a new level. A sub-block rises by at most sub, so with
+            # gap >= sub it reaches none; otherwise 0 <= gap < sub.
             gap = found - walk_carry
-            if gap >= m:
+            if gap >= sub:
                 walk_carry += successes[k] - np.count_nonzero(arrivals)
                 continue
-            np.subtract(np.unpackbits(dep_bits[k], count=m).view(np.int8),
-                        arrivals.view(np.int8), out=scan.values(m))
-            walk = scan(np.add, m)
+            np.subtract(np.unpackbits(dep_bits[k]).view(np.int8), arrivals.view(np.int8),
+                        out=scan.values)
+            walk = scan(np.add)
             walk_carry += int(walk[-1])
             # Seeded with gap >= 0, every running maximum is >= 0, so the
             # zeros in front leave it exact
             walk[0] = max(walk[0], gap)
-            high = scan(np.maximum, m)
+            high = scan(np.maximum)
             if high[-1] == gap:
                 continue
             new_level[0] = high[0] > gap
-            np.greater(high[1:], high[:-1], out=new_level[1:m])
-            ends = np.flatnonzero(new_level[:m])[: n_periods - found]
-            ends += chunk_start + lo
+            np.greater(high[1:], high[:-1], out=new_level[1:])
+            ends = np.flatnonzero(new_level)[: n_periods - found]
+            ends += chunk_start + k * sub
             lengths[found] += ends[0] - last_end
             runs = lengths[found + 1 : found + len(ends)]
             runs += ends[1:]

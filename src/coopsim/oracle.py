@@ -34,6 +34,8 @@ from .montecarlo import arrival_counts
 # rows of uniforms drawn at a time by simulate_stationary: 0.5 MiB per block
 # and under 2 MiB of buffers in all, so each pass over a block runs in cache
 _CHUNK_ROWS = 1 << 14
+# q grid step of the check that no grid point beats optimal_two_point
+_REFINE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
         q_star, p_star = q_cand, p_cand
 
     best = _policy_at(params, q_star, p_star)
-    refined = _best_on_q_grid(params, step=1e-4)
+    refined = _best_on_q_grid(params)
     if refined > best.upsilon + 1e-9:
         raise RuntimeError(
             "grid refinement (%g) beat the closed form (%g)" % (refined, best.upsilon)
@@ -148,13 +150,13 @@ def optimal_two_point(params: ModelParams) -> StationaryPolicy:
     return best
 
 
-def _best_on_q_grid(params: ModelParams, step: float) -> float:
+def _best_on_q_grid(params: ModelParams) -> float:
     """Best achievable rate over a q grid with p chosen optimally per q.
 
     Where cooperation alone overspends the budget, p and hence the rate are
     negative and never win, since q = 0 is always within budget.
     """
-    q = np.arange(0.0, 1.0 + step / 2, step)
+    q = np.arange(0.0, 1.0 + _REFINE_STEP / 2, _REFINE_STEP)
     q[-1] = 1.0
     pi_0, p = _best_p(params, q)
     ups = np.minimum(params.lambda_su, params.mu_su[params.p_max] * pi_0 * p)

@@ -199,7 +199,7 @@ def test_07_adaptive_scenario():
         lambda_schedule=((350, 0.2), (700, 0.55)),
     )
     m = run_episode(sc)
-    ma = m.moving_average("coop_power", 100)
+    ma = m.moving_average(100)
     quiet = float(ma[499:700].max())
     early = float(ma[99:300].mean())
     late = float(ma[799:1000].mean())

@@ -203,24 +203,20 @@ def whole_chunk_busy_periods(lambda_pu, success_prob, n_periods, g):
 
 
 # Small chunks put many chunk and sub-block boundaries within a few hundred
-# periods; sub-blocks that do not divide the chunk, or exceed it, included.
-# Sub-blocks of 16 slots leave near-critical walks more than a sub-block
-# below their next level, so the skip branch runs too.
+# periods. Sub-blocks of 16 slots leave near-critical walks more than a
+# sub-block below their next level, so the skip branch runs too. The last
+# cases run every sub-block length the sampler takes, each a whole chunk.
 @pytest.mark.parametrize("chunk, sub, sizes", [
     (256, 64, (0, 1, 7, 40, 300)),
-    (256, 100, (0, 1, 7, 40, 300)),
-    (256, 512, (0, 1, 7, 40, 300)),
     (montecarlo._CHUNK_SLOTS, montecarlo._SUB_SLOTS, (0, 1, 300_000)),
     (256, 16, (0, 1, 7, 40, 300)),
-    # 2^15-slot sub-blocks scan in int32
-    (1 << 16, 1 << 15, (0, 1, 7, 40, 40_000)),
+    *[(sub, sub, (40,)) for sub in (16, 64, 256, 1024, 4096, 1 << 14)],
 ])
 def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
     monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", chunk)
     monkeypatch.setattr(montecarlo, "_SUB_SLOTS", sub)
     # near-critical (0.59, 0.6): many sub-blocks reach no new level; (0.0,
-    # 1.0) walks straight up, so past 2^15 periods a 2^15-slot sub-block's
-    # walk ends at 2^15, beyond int16
+    # 1.0) walks straight up, so each sub-block's walk ends at +sub
     for lam, mu in ((0.5, 0.6), (0.5, 0.8), (0.0, 0.4), (0.3, 1.0), (0.59, 0.6), (0.0, 1.0)):
         for n in sizes:
             got_rng, want_rng = rng(n), rng(n)
@@ -239,27 +235,38 @@ def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, ("frames", lam, mu, n)
 
 
-@pytest.mark.parametrize("dtype, size", [(np.int16, 1 << 14), (np.int32, 1 << 15)])
-def test_log_scan_matches_numpy_accumulates(dtype, size):
-    # one scan object, as in the sampler, over lengths whose pass counts are
-    # even and odd; all-up and all-down walks reach +-size
-    scan = montecarlo._LogScan(size, dtype)
+# a ragged sub-block, one longer than its chunk, one beyond int16 and one
+# with an odd scan pass count
+@pytest.mark.parametrize("chunk, sub", [(256, 100), (256, 512), (1 << 16, 1 << 15), (256, 32)])
+def test_busy_sampler_refuses_a_sub_block_it_cannot_scan(monkeypatch, chunk, sub):
+    monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", chunk)
+    monkeypatch.setattr(montecarlo, "_SUB_SLOTS", sub)
+    for draw in (sample_busy_periods, sample_frames):
+        g = rng(7)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="cannot scan sub-blocks"):
+            draw(0.5, 0.6, 7, g)
+        assert g.bit_generator.state == state, draw.__name__
+
+
+@pytest.mark.parametrize("size", [16, 1 << 14])
+def test_log_scan_matches_numpy_accumulates(size):
+    # one scan object, as in the sampler; all-up and all-down walks reach
+    # +-size, and each scan reads what the last one left
+    scan = montecarlo._LogScan(size)
     g = rng(23)
-    cases = [np.ones(size), -np.ones(size)]
-    for m in (1, 2, 5, 100, size // 2 + 1, size - 1, size, 3):
-        cases.append(g.integers(-1, 2, m))
-        cases.append(np.where(g.random(m) < 0.7, 1, -1))
+    cases = [np.ones(size), -np.ones(size), g.integers(-1, 2, size),
+             np.where(g.random(size) < 0.7, 1, -1)]
     for steps in cases:
-        m = len(steps)
         want = np.cumsum(steps, dtype=np.int64)
-        for gap in {0, m - 1, int(g.integers(0, m))}:
-            scan.values(m)[...] = steps
-            walk = scan(np.add, m)
-            assert walk.dtype == dtype and np.array_equal(walk, want), (m, gap)
+        for gap in (0, size - 1, int(g.integers(0, size))):
+            scan.values[...] = steps
+            walk = scan(np.add)
+            assert walk.dtype == np.int16 and np.array_equal(walk, want), gap
             # the running maximum seeded with gap, as the sampler seeds it
             walk[0] = max(walk[0], gap)
-            high = scan(np.maximum, m)
-            assert np.array_equal(high, np.maximum.accumulate(np.maximum(want, gap))), (m, gap)
+            high = scan(np.maximum)
+            assert np.array_equal(high, np.maximum.accumulate(np.maximum(want, gap))), gap
 
 
 @pytest.mark.parametrize("draw", [
@@ -277,7 +284,8 @@ def test_samplers_refuse_negative_counts_and_draw_nothing_for_zero(draw):
     assert g.bit_generator.state == state
 
 
-@pytest.mark.parametrize("success_prob", [0.4, float("nan")], ids=["below_lambda", "nan"])
+@pytest.mark.parametrize("success_prob", [0.4, float("nan"), 0.5],
+                         ids=["below_lambda", "nan", "equal_lambda"])
 def test_frame_sampler_refuses_bad_probabilities_before_drawing(success_prob):
     g = rng(5)
     state = g.bit_generator.state

@@ -406,7 +406,7 @@ def test_cli_adaptive(tmp_path, capsys):
     text += f"\nlambda_schedule = 60:0.2\nout_dir = {tmp_path}/out\n"
     cfg = write_config(tmp_path, text)
     # no window key: the moving average runs over the default 100 frames
-    ma = run_episode(RunConfig.from_path(cfg).build_scenario()).moving_average("coop_power", 100)
+    ma = run_episode(RunConfig.from_path(cfg).build_scenario()).moving_average(100)
     for argv, checkpoints in (([], [100, 120]), (["--frames", "100"], [100])):
         assert main(["adaptive", "--config", str(cfg), *argv]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -571,7 +571,7 @@ def test_cli_rejects_ignored_flags(tmp_path, capsys):
         row = (tmp_path / name / "summary.csv").read_text().splitlines()[-1].split(",")
         assert (row[0], row[1], row[-1]) == ("fbdpp(v=50)", "50.0", "777")
         assert len(read_frames_csv(tmp_path / name / "frames.csv")["frame"]) == 20
-    ma = run_episode(scenario).moving_average("coop_power", window=1)[19]
+    ma = run_episode(scenario).moving_average(window=1)[19]
     assert f"frame=20 coop_power_ma={ma:.6f}" in capsys.readouterr().out
 
     # sweep: seed, frames and v_list shape sweep.csv under --out-dir

@@ -155,7 +155,7 @@ def test_virtual_queue_identity_checked_every_episode(monkeypatch):
 def test_moving_average_prefix_and_window():
     sc = Scenario(params=REF, policy=FBDPP, horizon_frames=250, seed=19)
     m = run_episode(sc)
-    ma = m.moving_average("coop_power", 100)
+    ma = m.moving_average(100)
     assert len(ma) == 250
     # first point is the frame's own rate
     assert ma[0] == pytest.approx(m.power_coop[0] / m.frame_len[0])
@@ -164,12 +164,9 @@ def test_moving_average_prefix_and_window():
     lo = k - 99
     expect = m.power_coop[lo : k + 1].sum() / m.frame_len[lo : k + 1].sum()
     assert ma[k] == pytest.approx(expect)
-    for series in ("nope", "idle_power"):    # coop_power is the one series
-        with pytest.raises(ValueError, match="unknown series"):
-            m.moving_average(series, 100)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="window"):
-            m.moving_average("coop_power", window=bad)
+            m.moving_average(window=bad)
 
 
 def test_sweep_seeds_and_ordering():

@@ -113,9 +113,9 @@ def test_grid_searches_the_full_cooperation_row():
 
 def test_closed_form_refuses_a_grid_that_beats_it(monkeypatch):
     best = optimal_two_point(REF).upsilon
-    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params, step: best + 1e-10)
+    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params: best + 1e-10)
     assert optimal_two_point(REF).upsilon == best      # within the 1e-9 slack
-    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params, step: best + 1e-8)
+    monkeypatch.setattr(oracle, "_best_on_q_grid", lambda params: best + 1e-8)
     with pytest.raises(RuntimeError, match="grid refinement .* beat the closed form"):
         optimal_two_point(REF)
 
@@ -128,7 +128,7 @@ def test_closed_form_check_reads_the_q_row_below_one():
     best = optimal_two_point(near_one)
     assert best.coop_prob == pytest.approx(0.99993, abs=1e-6)
     assert best.upsilon == pytest.approx(0.3749891, abs=1e-7)
-    assert oracle._best_on_q_grid(near_one, 1e-4) == pytest.approx(0.3749844, abs=1e-7)
+    assert oracle._best_on_q_grid(near_one) == pytest.approx(0.3749844, abs=1e-7)
 
 
 def test_grid_refuses_a_step_outside_its_range():
