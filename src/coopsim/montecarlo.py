@@ -8,17 +8,17 @@ cumulative arrivals by one, so consecutive busy runs are the successive
 first-passage times of the walk sum(success - arrival) to levels 1, 2, 3...
 That observation lets millions of runs be drawn with a handful of numpy
 passes instead of a slot loop. The walk is drawn in fixed chunks, which fix
-the uniform stream, and run in cache-sized sub-blocks through buffers
-allocated once per call: about 0.6 MiB beside the returned lengths, at any
-sample count. A sub-block's walk and its running maximum are log-step
-scans, 14 vectorized passes each over 16,384 slots, instead of numpy's
-cumulative sum and maximum, which run one slot after another; their two
-zero-padded int16 buffers take 96 KiB of the 0.6 MiB. Sub-blocks are whole
-and a power of four slots long, from 16 to 2^14, so each scan has an even
-pass count and int16 holds its values; any other shape is refused before
-anything is drawn. ``sample_frames`` adds each busy run into the idle-run
-array it returns, so it holds 8 bytes per frame plus those buffers (200,000
-frames peak near 2.1 MiB).
+the uniform stream; a chunk is read in one pass of cache-sized sub-blocks,
+each uniform as it is drawn, and a PCG64 jumps past the uniforms not read,
+so no other generator is taken. Buffers allocated once per call hold about
+0.35 MiB beside the returned lengths, at any sample count. A sub-block's
+walk and running maximum are log-step scans, 14 vectorized passes each over
+16,384 slots, in place of numpy's serial cumulative sum and maximum; their
+two zero-padded int16 buffers take 96 KiB. Sub-blocks are whole and a power
+of four slots long, from 16 to 2^14, so each scan has an even pass count
+and int16 holds its values; any other shape is refused before anything is
+drawn. ``sample_frames`` adds each busy run into the idle-run array it
+returns: 8 bytes per frame plus the buffers (200,000 frames peak near 1.8 MiB).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import numpy as np
 
 # slots of walk per chunk of sample_busy_periods; part of the uniform stream
 _CHUNK_SLOTS = 1 << 21
-# uniforms drawn, and walk slots run, per numpy pass within a chunk; not part
-# of the stream, and small enough that a sub-block's buffers stay in cache. A
-# power of four from 16 to 2^14 that divides _CHUNK_SLOTS: whole sub-blocks,
-# whole bytes of success bits, an even scan pass count, values within int16
+# uniforms drawn, and walk slots run, per numpy pass; not part of the stream,
+# and small enough that a sub-block's buffers stay in cache. A power of four
+# from 16 to 2^14 dividing _CHUNK_SLOTS: whole sub-blocks, even scan passes, int16
 _SUB_SLOTS = 1 << 14
 
 
@@ -87,9 +86,12 @@ def _check_count(n: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {n}")
 
 
-def _check_busy(lambda_pu: float, success_prob: float) -> None:
+def _check_busy(lambda_pu: float, success_prob: float, rng: np.random.Generator) -> None:
     if not 0.0 <= lambda_pu < success_prob <= 1.0:
         raise ValueError("need 0 <= lambda_pu < success_prob <= 1")
+    # a jump past uniforms not read needs one generator step per double
+    if not isinstance(bits := rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError(f"need a PCG64 or PCG64DXSM generator, got {type(bits).__name__}")
     if _SUB_SLOTS not in (1 << 4, 1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14) or (
             _CHUNK_SLOTS % _SUB_SLOTS or _CHUNK_SLOTS < _SUB_SLOTS):
         raise ValueError(f"cannot scan sub-blocks of {_SUB_SLOTS} slots "
@@ -109,7 +111,7 @@ def sample_busy_periods(
 ) -> np.ndarray:
     """Draw busy-run lengths for a fixed per-busy-slot success probability."""
     _check_count(n_periods, "n_periods")
-    _check_busy(lambda_pu, success_prob)
+    _check_busy(lambda_pu, success_prob, rng)
     lengths = np.zeros(n_periods, dtype=np.int64)
     _add_busy_periods(lengths, lambda_pu, success_prob, rng)
     return lengths
@@ -151,17 +153,16 @@ def _add_busy_periods(
     maximum increases by at most one per slot, so the first index where the
     running maximum reaches level j is exactly where busy run j ends.
 
-    The uniform stream is a sequence of whole chunks of ``_CHUNK_SLOTS``
-    slots: all of a chunk's success uniforms, then all of its arrival
-    uniforms. They are drawn in whole sub-blocks of ``_SUB_SLOTS`` slots
-    into one reused buffer; the successes are kept as packed bits, and the
-    walk runs one arrival sub-block at a time, relative to the walk's value
-    before it, until ``n_periods`` ends are found. The rest of the chunk is
-    still drawn, so the generator ends where a whole-chunk draw leaves it.
-    The walk and its running maximum are int16 log-step scans
-    (``_LogScan``), exact since every value lies in [-sub, sub]. Every pass
-    writes into buffers allocated once per call; memory is about 0.6 MiB
-    beside ``lengths``, however long the walk.
+    The uniform stream is a sequence of whole chunks of ``_CHUNK_SLOTS`` slots:
+    all of a chunk's success uniforms, then all of its arrival uniforms. One
+    pass over ``_SUB_SLOTS``-slot sub-blocks reads the successes from ``rng``
+    and the arrivals from a copy one chunk ahead. Once ``n_periods`` ends are
+    found, or the chunk runs out, the copy jumps past the arrivals not read,
+    and ``rng`` takes its LCG state but keeps its buffered 32-bit half, so it
+    ends where a whole-chunk draw leaves it. The walk and its running maximum
+    are int16 log-step scans (``_LogScan``), exact since every value lies in
+    [-sub, sub]. Buffers of 256 KiB, allocated once per call, and one
+    sub-block's ends, at most 128 KiB, are all the memory beside ``lengths``.
     """
     n_periods = len(lengths)
     found = 0
@@ -170,23 +171,19 @@ def _add_busy_periods(
     walk_carry = 0
     sub = _SUB_SLOTS
     n_subs = _CHUNK_SLOTS // sub
-    # one row of packed success bits, and one success count, per sub-block
-    dep_bits = np.empty((n_subs, sub // 8), dtype=np.uint8)
-    successes = [0] * n_subs
+    bits = rng.bit_generator
+    ahead = np.random.Generator(type(bits)(0))
+    ahead.bit_generator.state = bits.state
     u = np.empty(sub)
-    hit = np.empty(sub, dtype=bool)
+    arrivals = np.empty(sub, dtype=bool)
     new_level = np.empty(sub, dtype=bool)
     scan = _LogScan(sub)
     while found < n_periods:
+        ahead.bit_generator.advance(_CHUNK_SLOTS)
         for k in range(n_subs):
-            np.less(rng.random(out=u), success_prob, out=hit)
-            successes[k] = np.count_nonzero(hit)
-            dep_bits[k] = np.packbits(hit)
-        for k in range(n_subs):
-            rng.random(out=u)
-            if found == n_periods:
-                continue
-            arrivals = np.less(u, lambda_pu, out=hit)
+            # the success bools share new_level's buffer: read before it is written
+            successes = np.less(rng.random(out=u), success_prob, out=new_level)
+            np.less(ahead.random(out=u), lambda_pu, out=arrivals)
             # The walk's running maximum so far is `found`, `gap` above the
             # walk's value. Relative to that value, the running maximum
             # seeded with `gap` rises by one exactly where the walk first
@@ -194,10 +191,9 @@ def _add_busy_periods(
             # gap >= sub it reaches none; otherwise 0 <= gap < sub.
             gap = found - walk_carry
             if gap >= sub:
-                walk_carry += successes[k] - np.count_nonzero(arrivals)
+                walk_carry += np.count_nonzero(successes) - np.count_nonzero(arrivals)
                 continue
-            np.subtract(np.unpackbits(dep_bits[k]).view(np.int8), arrivals.view(np.int8),
-                        out=scan.values)
+            np.subtract(successes.view(np.int8), arrivals.view(np.int8), out=scan.values)
             walk = scan(np.add)
             walk_carry += int(walk[-1])
             # Seeded with gap >= 0, every running maximum is >= 0, so the
@@ -216,6 +212,10 @@ def _add_busy_periods(
             runs -= ends[:-1]
             last_end = int(ends[-1])
             found += len(ends)
+            if found == n_periods:
+                break
+        ahead.bit_generator.advance((n_subs - 1 - k) * sub)
+        bits.state = {**bits.state, "state": ahead.bit_generator.state["state"]}
         chunk_start += _CHUNK_SLOTS
 
 
@@ -242,7 +242,7 @@ def sample_frames(
     """
     _check_count(n_frames, "n_frames")
     _check_idle(lambda_pu)
-    _check_busy(lambda_pu, success_prob)
+    _check_busy(lambda_pu, success_prob, rng)
     frames = sample_idle_periods(lambda_pu, n_frames, rng)
     _add_busy_periods(frames, lambda_pu, success_prob, rng)
     return frames

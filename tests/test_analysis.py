@@ -235,6 +235,56 @@ def test_busy_sampler_matches_whole_chunk_spec(monkeypatch, chunk, sub, sizes):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, ("frames", lam, mu, n)
 
 
+def test_busy_sampler_keeps_the_buffered_32_bit_half():
+    # an int32 draw leaves half a 64-bit output buffered, which double draws
+    # never touch; a jump of the generator itself clears it
+    for n in (0, 1, 50, 300_000):
+        got_rng, want_rng = rng(n), rng(n)
+        for g in (got_rng, want_rng):
+            g.integers(0, 7, dtype=np.int32)
+        got = sample_busy_periods(0.5, 0.6, n, got_rng)
+        want = whole_chunk_busy_periods(0.5, 0.6, n, want_rng)
+        assert want_rng.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(got, want), n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
+        got = sample_frames(0.5, 0.6, n, got_rng)
+        want = sample_idle_periods(0.5, n, want_rng)
+        want = want + whole_chunk_busy_periods(0.5, 0.6, n, want_rng)
+        assert np.array_equal(got, want), ("frames", n)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, ("frames", n)
+
+
+class _CountingGenerator(np.random.Generator):
+    calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+
+def test_small_busy_sample_draws_only_what_it_reads():
+    # ten runs fit in the first sub-block; the rest of the chunk is jumped
+    g = _CountingGenerator(np.random.PCG64(np.random.SeedSequence(3)))
+    sample_busy_periods(0.5, 0.6, 10, g)
+    assert g.calls <= 2
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bits", [np.random.Philox, np.random.MT19937, np.random.SFC64])
+def test_busy_samplers_refuse_generators_without_a_double_step_jump(bits):
+    for draw in (sample_busy_periods, sample_frames):
+        g = np.random.Generator(bits(1))
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="PCG64"):
+            draw(0.5, 0.6, 7, g)
+        assert _same_state(g.bit_generator.state, state), draw.__name__
+
+
 # a ragged sub-block, one longer than its chunk, one beyond int16 and one
 # with an odd scan pass count
 @pytest.mark.parametrize("chunk, sub", [(256, 100), (256, 512), (1 << 16, 1 << 15), (256, 32)])
@@ -322,8 +372,8 @@ def test_batch_mean_stderr_is_bit_equal_to_one_whole_copy(dtype):
 
 
 def test_frame_sampler_memory_is_bounded():
-    # the returned 1.5 MiB of frames, busy runs added in, beside about 0.6 MiB of buffers
-    assert traced_peak(sample_frames, 0.5, 0.6, 200_000, rng(3)) < 2.5 * 2**20
+    # the returned 1.5 MiB of frames, busy runs added in, beside about 0.35 MiB of buffers
+    assert traced_peak(sample_frames, 0.5, 0.6, 200_000, rng(3)) < 2.0 * 2**20
 
 
 def _plain_binomial_cdf(n, p):
